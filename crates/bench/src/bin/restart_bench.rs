@@ -36,7 +36,7 @@ use sybil_core::realtime::RealtimeConfig;
 use sybil_core::ThresholdClassifier;
 use sybil_serve::fault::FaultKind;
 use sybil_serve::{ServeConfig, ServeError, ServeSession};
-use sybil_store::{StorePlane, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DIGEST_EVERY};
+use sybil_store::{StorePlane, DEFAULT_CHECKPOINT_EVERY};
 
 const REPS: usize = 9;
 
@@ -88,7 +88,7 @@ fn main() {
     let run_plane = |dir: &PathBuf, every: u64| {
         let _ = std::fs::remove_dir_all(dir);
         let mut plane =
-            StorePlane::with_cadence(dir, every, DEFAULT_DIGEST_EVERY).expect("store opens");
+            StorePlane::with_cadence(dir, every).expect("store opens");
         let o = ServeSession::new(cfg)
             .clock(&clock)
             .store(&mut plane)

@@ -26,7 +26,7 @@ use sybil_core::realtime::{DeploymentReport, RealtimeConfig};
 use sybil_core::ThresholdClassifier;
 use sybil_serve::fault::FaultKind;
 use sybil_serve::{ServeConfig, ServeError, ServeSession};
-use sybil_store::{IoOp, StoreError, StorePlane, DEFAULT_DIGEST_EVERY};
+use sybil_store::{IoOp, StoreError, StorePlane};
 
 /// Epoch length for the drill. Shorter than the `serve` experiment's so
 /// even the tiny stream spans enough epochs to kill mid-run.
@@ -155,8 +155,7 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<RestartRun, RestartError> {
     // checkpoints every epoch (not the sparser production default) so a
     // seed-derived kill in the first few epochs still has a checkpoint
     // to resume from.
-    let mut doomed =
-        StorePlane::with_cadence(&dir, 1, DEFAULT_DIGEST_EVERY)?.kill_at_epoch(kill_epoch);
+    let mut doomed = StorePlane::with_cadence(&dir, 1)?.kill_at_epoch(kill_epoch);
     match ServeSession::new(cfg).store(&mut doomed).run(&ctx.out) {
         Ok(_) => return Err(RestartError::KillNeverFired { kill_epoch }),
         Err(ServeError::Chaos(c)) if c.fault_kind == FaultKind::Crash => {}
@@ -165,7 +164,7 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<RestartRun, RestartError> {
     drop(doomed);
 
     // Act 2: the warm restart, from the directory's bytes alone.
-    let mut revived = StorePlane::with_cadence(&dir, 1, DEFAULT_DIGEST_EVERY)?;
+    let mut revived = StorePlane::with_cadence(&dir, 1)?;
     let outcome = ServeSession::new(cfg)
         .store(&mut revived)
         .run(&ctx.out)
@@ -242,9 +241,11 @@ mod tests {
     use super::*;
     use crate::scenario::Scale;
 
-    fn drill_spec(seed: u64) -> RunSpec {
+    /// A drill spec whose store lives in a directory of its own: tests
+    /// run in parallel, and two drills writing one store interfere.
+    fn drill_spec(seed: u64, test: &str) -> RunSpec {
         let dir = std::env::temp_dir().join(format!(
-            "sybil-repro-restart-{}-{seed}",
+            "sybil-repro-restart-{}-{seed}-{test}",
             std::process::id()
         ));
         RunSpec::builder()
@@ -258,7 +259,7 @@ mod tests {
     #[test]
     fn drill_restarts_byte_identically() {
         let ctx = Ctx::build(Scale::Tiny, 11);
-        let spec = drill_spec(11);
+        let spec = drill_spec(11, "identical");
         let r = run(&ctx, &spec).expect("drill failed");
         assert!(r.matches_oracle, "{r:?}");
         assert_eq!(r.kill_epoch, 1 + 11 % 4);
@@ -275,7 +276,7 @@ mod tests {
     #[test]
     fn drill_is_deterministic() {
         let ctx = Ctx::build(Scale::Tiny, 11);
-        let spec = drill_spec(11);
+        let spec = drill_spec(11, "deterministic");
         let a = serde_json::to_string(&run(&ctx, &spec).expect("drill failed")).unwrap();
         let b = serde_json::to_string(&run(&ctx, &spec).expect("drill failed")).unwrap();
         assert_eq!(a, b, "restart drill must be byte-reproducible");

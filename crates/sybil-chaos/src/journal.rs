@@ -4,13 +4,13 @@
 //!
 //! ## Format
 //!
-//! The journal is a header followed by frames. All integers are
-//! little-endian; floats are IEEE-754 bit patterns written as `u64`.
-//! There is no compression, no varints, and no platform-dependent field
-//! (`usize` never appears on disk), so the byte stream is identical
-//! across machines — "byte-stable" is load-bearing for the round-trip
-//! proptest, which compares replayed state digests against digests
-//! committed through these exact bytes.
+//! The journal is a header followed by frames, encoded through the
+//! shared [`wire`] codec: little-endian integers, floats as
+//! IEEE-754 bit patterns in a `u64`, no compression, no varints, and no
+//! platform-dependent field (`usize` never appears on disk), so the byte
+//! stream is identical across machines — "byte-stable" is load-bearing
+//! for the round-trip proptest, which compares replayed state digests
+//! against digests committed through these exact bytes.
 //!
 //! ```text
 //! header :=  magic b"SYBJ"  version:u32 (= 1)
@@ -35,15 +35,16 @@
 //! file for `repro chaos --journal`, an in-memory `Cursor<Vec<u8>>` for
 //! tests and the default CLI path. Appending maintains an in-memory
 //! offset index so mid-run crash replay seeks straight to a begin
-//! record; [`Journal::open`] rebuilds the same index by scanning an
+//! record; [`Journal::open`] rebuilds the same index by walking an
 //! existing byte stream, which is what proves the bytes alone suffice.
+//! That walk is the only frame walker: [`valid_prefix`] runs it too, so
+//! a store that finds a torn tail truncates exactly where `open` would
+//! have stopped.
 
-use osn_graph::Timestamp;
-use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
+use crate::wire::{self, Reader, WireError};
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
-use sybil_features::FeatureVector;
-use sybil_serve::fault::{EpochRecord, EpochRecordRef, FeedbackRecord};
+use sybil_serve::fault::{EpochRecord, EpochRecordRef};
 
 /// Journal magic: `b"SYBJ"`.
 pub const MAGIC: [u8; 4] = *b"SYBJ";
@@ -114,153 +115,125 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// Little-endian field encoder onto a frame buffer.
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-/// Little-endian field decoder over a frame payload. Positions are
-/// tracked relative to `base` (the payload's offset in the stream) so
-/// errors report absolute byte offsets.
-struct Fields<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    base: u64,
-}
-
-impl<'a> Fields<'a> {
-    fn new(buf: &'a [u8], base: u64) -> Self {
-        Fields { buf, pos: 0, base }
+impl From<WireError> for JournalError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { offset } => JournalError::Truncated { offset },
+            WireError::BadField { offset } => JournalError::BadField { offset },
+        }
     }
+}
 
-    fn offset(&self) -> u64 {
-        self.base + self.pos as u64
+fn io_at(offset: u64) -> impl FnOnce(std::io::Error) -> JournalError {
+    move |e| JournalError::Io {
+        kind: e.kind(),
+        offset,
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], JournalError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
+fn put_digests(buf: &mut Vec<u8>, digests: &[u64]) {
+    wire::put_u32(buf, digests.len() as u32);
+    for &d in digests {
+        wire::put_u64(buf, d);
+    }
+}
+
+/// What the frames say, indexed for recovery.
+#[derive(Debug, Default)]
+struct Index {
+    /// Each epoch's begin frame as `(payload offset, payload length)`.
+    begins: BTreeMap<u64, (u64, usize)>,
+    /// Committed per-shard digests, by epoch (`None` when the commit
+    /// carried no digests).
+    commits: BTreeMap<u64, Option<Vec<u64>>>,
+    /// Run-end record: (epochs, final per-shard digests).
+    finished: Option<(u64, Vec<u64>)>,
+}
+
+impl Index {
+    /// Absorb one frame (tag + payload) that starts at byte `base`.
+    fn absorb(&mut self, frame: &[u8], base: u64) -> Result<(), JournalError> {
+        let mut r = Reader::new(frame, base);
+        match r.u8()? {
+            TAG_BEGIN => {
+                // The body is decoded lazily by `read_epoch`; only the
+                // frame's position is kept here.
+                let epoch = r.u64()?;
+                self.begins.insert(epoch, (base, frame.len()));
             }
-            None => Err(JournalError::Truncated {
-                offset: self.offset(),
-            }),
+            TAG_COMMIT => {
+                let epoch = r.u64()?;
+                let digests = if r.bool()? {
+                    Some(r.list(8, Reader::u64)?)
+                } else {
+                    None
+                };
+                self.commits.insert(epoch, digests);
+            }
+            TAG_END => {
+                let epochs = r.u64()?;
+                self.finished = Some((epochs, r.list(8, Reader::u64)?));
+            }
+            tag => return Err(JournalError::BadTag { tag, offset: base }),
         }
-    }
-
-    fn u8(&mut self) -> Result<u8, JournalError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, JournalError> {
-        let s = self.take(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, JournalError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn f64(&mut self) -> Result<f64, JournalError> {
-        Ok(f64::from_bits(self.u64()?))
+        Ok(())
     }
 }
 
-/// Encode one event + its parallel detail.
-fn put_event(buf: &mut Vec<u8>, ev: &StreamEvent, det: &EventDetail) {
-    put_u64(buf, ev.seq);
-    put_u64(buf, ev.at.as_secs());
-    let (kind, record) = match ev.kind {
-        StreamEventKind::Sent(r) => (0u8, r),
-        StreamEventKind::Decided(r) => (1u8, r),
-    };
-    put_u8(buf, kind);
-    put_u32(buf, record);
-    put_u32(buf, det.from);
-    put_u32(buf, det.to);
-    put_u8(buf, u8::from(det.accepted));
+/// Where a walk over a `SYBJ` byte stream stopped.
+struct Walk {
+    /// End of the last whole frame: the length of the valid prefix.
+    valid: u64,
+    /// Why the bytes past `valid` are not a whole frame; `None` when the
+    /// walk reached the end of the stream.
+    torn: Option<JournalError>,
 }
 
-fn get_event(f: &mut Fields<'_>) -> Result<(StreamEvent, EventDetail), JournalError> {
-    let seq = f.u64()?;
-    let at = Timestamp(f.u64()?);
-    let kind_off = f.offset();
-    let kind_tag = f.u8()?;
-    let record = f.u32()?;
-    let kind = match kind_tag {
-        0 => StreamEventKind::Sent(record),
-        1 => StreamEventKind::Decided(record),
-        _ => return Err(JournalError::BadField { offset: kind_off }),
-    };
-    let from = f.u32()?;
-    let to = f.u32()?;
-    let accepted_off = f.offset();
-    let accepted = match f.u8()? {
-        0 => false,
-        1 => true,
-        _ => {
-            return Err(JournalError::BadField {
-                offset: accepted_off,
-            })
-        }
-    };
-    Ok((
-        StreamEvent { seq, at, kind },
-        EventDetail { from, to, accepted },
-    ))
-}
-
-fn put_feedback(buf: &mut Vec<u8>, fb: &FeedbackRecord) {
-    put_u64(buf, fb.seq);
-    put_u8(buf, fb.intra);
-    put_u64(buf, fb.due.as_secs());
-    for v in fb.features.as_array() {
-        put_f64(buf, v);
+/// The one frame walker: check the header, then absorb every whole
+/// frame into `index`. A length prefix that is cut short or zero, or a
+/// frame that runs past the end of `bytes`, stops the walk as a torn
+/// tail; a whole frame that does not decode is an error.
+fn walk(bytes: &[u8], index: &mut Index) -> Result<Walk, JournalError> {
+    let mut r = Reader::new(bytes, 0);
+    if r.array()? != MAGIC {
+        return Err(JournalError::BadMagic);
     }
-    put_u8(buf, u8::from(fb.truth));
-}
-
-fn get_feedback(f: &mut Fields<'_>) -> Result<FeedbackRecord, JournalError> {
-    let seq = f.u64()?;
-    let intra = f.u8()?;
-    let due = Timestamp(f.u64()?);
-    let features = FeatureVector {
-        inv_freq_1h: f.f64()?,
-        inv_freq_400h: f.f64()?,
-        outgoing_accept_ratio: f.f64()?,
-        incoming_accept_ratio: f.f64()?,
-        clustering_coefficient: f.f64()?,
-    };
-    let truth_off = f.offset();
-    let truth = match f.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(JournalError::BadField { offset: truth_off }),
-    };
-    Ok(FeedbackRecord {
-        seq,
-        intra,
-        due,
-        features,
-        truth,
+    let version = r.u32()?;
+    if version != VERSION {
+        return Err(JournalError::BadVersion(version));
+    }
+    while !r.done() {
+        let off = r.offset();
+        let torn = match r.u32() {
+            Err(_) => JournalError::Truncated { offset: off },
+            // A zero length can never be written.
+            Ok(0) => JournalError::BadField { offset: off },
+            Ok(len) => match r.take(len as usize) {
+                Ok(frame) => {
+                    index.absorb(frame, off + 4)?;
+                    continue;
+                }
+                Err(_) => JournalError::Truncated { offset: off },
+            },
+        };
+        return Ok(Walk {
+            valid: off,
+            torn: Some(torn),
+        });
+    }
+    Ok(Walk {
+        valid: r.offset(),
+        torn: None,
     })
+}
+
+/// Length of the longest prefix of a `SYBJ` stream that ends on a whole
+/// frame; bytes past it are a torn append. A bad header or a whole frame
+/// that does not decode is an error. This is the walk
+/// [`Journal::open`] makes, minus its strictness about the torn tail, so
+/// a store can truncate to the returned length and then open.
+pub fn valid_prefix(bytes: &[u8]) -> Result<u64, JournalError> {
+    walk(bytes, &mut Index::default()).map(|w| w.valid)
 }
 
 /// The write-ahead epoch journal over any seekable byte store.
@@ -273,13 +246,7 @@ pub struct Journal<S> {
     /// and anything already present at `open`); the overhead bench reads
     /// this.
     appended: u64,
-    /// Offset of each epoch's begin frame payload, by epoch.
-    begins: BTreeMap<u64, u64>,
-    /// Committed per-shard digests, by epoch (`None` when the commit
-    /// carried no digests).
-    commits: BTreeMap<u64, Option<Vec<u64>>>,
-    /// Run-end record: (epochs, final per-shard digests).
-    finished: Option<(u64, Vec<u64>)>,
+    index: Index,
 }
 
 impl<S: Read + Write + Seek> Journal<S> {
@@ -289,147 +256,41 @@ impl<S: Read + Write + Seek> Journal<S> {
             .seek(SeekFrom::Start(0))
             .and_then(|_| store.write_all(&MAGIC))
             .and_then(|_| store.write_all(&VERSION.to_le_bytes()))
-            .map_err(|e| JournalError::Io {
-                kind: e.kind(),
-                offset: 0,
-            })?;
+            .map_err(io_at(0))?;
         Ok(Journal {
             store,
             end: (MAGIC.len() + 4) as u64,
             appended: 0,
-            begins: BTreeMap::new(),
-            commits: BTreeMap::new(),
-            finished: None,
+            index: Index::default(),
         })
     }
 
-    /// Open an existing journal, validating the header and scanning every
+    /// Open an existing journal, validating the header and walking every
     /// frame to rebuild the offset index. This is the path that proves
     /// the byte stream alone carries recovery: nothing from the writing
-    /// process survives except the bytes.
+    /// process survives except the bytes. A torn tail is an error here;
+    /// see [`valid_prefix`] for the repair.
     pub fn open(mut store: S) -> Result<Self, JournalError> {
+        let mut bytes = Vec::new();
         store
             .seek(SeekFrom::Start(0))
-            .map_err(|e| JournalError::Io {
-                kind: e.kind(),
-                offset: 0,
-            })?;
-        let mut header = [0u8; 8];
-        read_exact_at(&mut store, &mut header, 0)?;
-        if header[..4] != MAGIC {
-            return Err(JournalError::BadMagic);
+            .and_then(|_| store.read_to_end(&mut bytes))
+            .map_err(io_at(0))?;
+        let mut index = Index::default();
+        let walked = walk(&bytes, &mut index)?;
+        if let Some(torn) = walked.torn {
+            return Err(torn);
         }
-        let mut vb = [0u8; 4];
-        vb.copy_from_slice(&header[4..8]);
-        let version = u32::from_le_bytes(vb);
-        if version != VERSION {
-            return Err(JournalError::BadVersion(version));
-        }
-        let mut j = Journal {
+        Ok(Journal {
             store,
-            end: 8,
+            end: walked.valid,
             appended: 0,
-            begins: BTreeMap::new(),
-            commits: BTreeMap::new(),
-            finished: None,
-        };
-        j.scan()?;
-        Ok(j)
+            index,
+        })
     }
 
-    /// Scan frames from the current `end` to the end of the stream,
-    /// indexing begin offsets and absorbing commit/end records.
-    fn scan(&mut self) -> Result<(), JournalError> {
-        loop {
-            let mut lenb = [0u8; 4];
-            let off = self.end;
-            self.store
-                .seek(SeekFrom::Start(off))
-                .map_err(|e| JournalError::Io {
-                    kind: e.kind(),
-                    offset: off,
-                })?;
-            match self.store.read_exact(&mut lenb) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                    // Distinguish a clean end (no more frames) from a
-                    // frame cut mid-length by probing for any byte.
-                    self.store
-                        .seek(SeekFrom::Start(off))
-                        .map_err(|e| JournalError::Io {
-                            kind: e.kind(),
-                            offset: off,
-                        })?;
-                    let mut probe = [0u8; 1];
-                    return match self.store.read_exact(&mut probe) {
-                        Err(pe) if pe.kind() == std::io::ErrorKind::UnexpectedEof => Ok(()),
-                        _ => Err(JournalError::Truncated { offset: off }),
-                    };
-                }
-                Err(e) => {
-                    return Err(JournalError::Io {
-                        kind: e.kind(),
-                        offset: off,
-                    })
-                }
-            }
-            let len = u32::from_le_bytes(lenb) as usize;
-            if len == 0 {
-                return Err(JournalError::BadField { offset: off });
-            }
-            let mut frame = vec![0u8; len];
-            read_exact_at(&mut self.store, &mut frame, off + 4)?;
-            self.index_frame(&frame, off + 4)?;
-            self.end = off + 4 + len as u64;
-        }
-    }
-
-    /// Absorb one frame (tag + payload) into the index.
-    fn index_frame(&mut self, frame: &[u8], base: u64) -> Result<(), JournalError> {
-        let mut f = Fields::new(frame, base);
-        let tag = f.u8()?;
-        match tag {
-            TAG_BEGIN => {
-                let epoch = f.u64()?;
-                // The payload body is decoded lazily by `read_epoch`;
-                // only the offset is kept here.
-                self.begins.insert(epoch, base);
-            }
-            TAG_COMMIT => {
-                let epoch = f.u64()?;
-                let digests = match f.u8()? {
-                    0 => None,
-                    _ => {
-                        let n = f.u32()? as usize;
-                        let mut d = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            d.push(f.u64()?);
-                        }
-                        Some(d)
-                    }
-                };
-                self.commits.insert(epoch, digests);
-            }
-            TAG_END => {
-                let epochs = f.u64()?;
-                let n = f.u32()? as usize;
-                let mut d = Vec::with_capacity(n);
-                for _ in 0..n {
-                    d.push(f.u64()?);
-                }
-                self.finished = Some((epochs, d));
-            }
-            other => {
-                return Err(JournalError::BadTag {
-                    tag: other,
-                    offset: base,
-                })
-            }
-        }
-        Ok(())
-    }
-
-    /// Append one frame (tag already in `payload[0]`).
+    /// Append one frame (tag already in `payload[0]`), returning the
+    /// payload's offset.
     fn append(&mut self, payload: &[u8]) -> Result<u64, JournalError> {
         let off = self.end;
         let len = payload.len() as u32;
@@ -437,10 +298,7 @@ impl<S: Read + Write + Seek> Journal<S> {
             .seek(SeekFrom::Start(off))
             .and_then(|_| self.store.write_all(&len.to_le_bytes()))
             .and_then(|_| self.store.write_all(payload))
-            .map_err(|e| JournalError::Io {
-                kind: e.kind(),
-                offset: off,
-            })?;
+            .map_err(io_at(off))?;
         let frame_len = 4 + payload.len() as u64;
         self.end += frame_len;
         self.appended += frame_len;
@@ -449,19 +307,21 @@ impl<S: Read + Write + Seek> Journal<S> {
 
     /// Write the epoch-begin (write-ahead) record.
     pub fn append_begin(&mut self, rec: EpochRecordRef<'_>) -> Result<(), JournalError> {
-        let mut buf = Vec::with_capacity(32 + rec.events.len() * 30 + rec.feedback.len() * 58);
-        put_u8(&mut buf, TAG_BEGIN);
-        put_u64(&mut buf, rec.epoch);
-        put_u32(&mut buf, rec.events.len() as u32);
-        put_u32(&mut buf, rec.feedback.len() as u32);
+        let mut buf = Vec::with_capacity(
+            17 + rec.events.len() * wire::EVENT_LEN + rec.feedback.len() * wire::FEEDBACK_LEN,
+        );
+        wire::put_u8(&mut buf, TAG_BEGIN);
+        wire::put_u64(&mut buf, rec.epoch);
+        wire::put_u32(&mut buf, rec.events.len() as u32);
+        wire::put_u32(&mut buf, rec.feedback.len() as u32);
         for (ev, det) in rec.events.iter().zip(rec.details.iter()) {
-            put_event(&mut buf, ev, det);
+            wire::put_event(&mut buf, ev, det);
         }
         for fb in rec.feedback {
-            put_feedback(&mut buf, fb);
+            wire::put_feedback(&mut buf, fb);
         }
         let base = self.append(&buf)?;
-        self.begins.insert(rec.epoch, base);
+        self.index.begins.insert(rec.epoch, (base, buf.len()));
         Ok(())
     }
 
@@ -471,71 +331,63 @@ impl<S: Read + Write + Seek> Journal<S> {
         epoch: u64,
         digests: Option<&[u64]>,
     ) -> Result<(), JournalError> {
-        let mut buf = Vec::with_capacity(16 + digests.map_or(0, |d| 4 + d.len() * 8));
-        put_u8(&mut buf, TAG_COMMIT);
-        put_u64(&mut buf, epoch);
-        match digests {
-            None => put_u8(&mut buf, 0),
-            Some(d) => {
-                put_u8(&mut buf, 1);
-                put_u32(&mut buf, d.len() as u32);
-                for &x in d {
-                    put_u64(&mut buf, x);
-                }
-            }
+        let mut buf = Vec::with_capacity(14 + digests.map_or(0, |d| 4 + d.len() * 8));
+        wire::put_u8(&mut buf, TAG_COMMIT);
+        wire::put_u64(&mut buf, epoch);
+        wire::put_bool(&mut buf, digests.is_some());
+        if let Some(d) = digests {
+            put_digests(&mut buf, d);
         }
         self.append(&buf)?;
-        self.commits.insert(epoch, digests.map(<[u64]>::to_vec));
+        self.index.commits.insert(epoch, digests.map(<[u64]>::to_vec));
         Ok(())
     }
 
     /// Write the run-end record with the final per-shard state digests.
     pub fn append_end(&mut self, epochs: u64, digests: &[u64]) -> Result<(), JournalError> {
-        let mut buf = Vec::with_capacity(16 + digests.len() * 8);
-        put_u8(&mut buf, TAG_END);
-        put_u64(&mut buf, epochs);
-        put_u32(&mut buf, digests.len() as u32);
-        for &x in digests {
-            put_u64(&mut buf, x);
-        }
+        let mut buf = Vec::with_capacity(13 + digests.len() * 8);
+        wire::put_u8(&mut buf, TAG_END);
+        wire::put_u64(&mut buf, epochs);
+        put_digests(&mut buf, digests);
         self.append(&buf)?;
-        self.finished = Some((epochs, digests.to_vec()));
+        self.index.finished = Some((epochs, digests.to_vec()));
         Ok(())
     }
 
     /// Decode epoch `epoch`'s begin record, or `None` if the journal has
     /// no record for it.
     pub fn read_epoch(&mut self, epoch: u64) -> Result<Option<EpochRecord>, JournalError> {
-        let Some(&base) = self.begins.get(&epoch) else {
+        let Some(&(base, len)) = self.index.begins.get(&epoch) else {
             return Ok(None);
         };
-        // Re-read the frame length from just before the payload.
-        let mut lenb = [0u8; 4];
-        read_exact_at(&mut self.store, &mut lenb, base - 4)?;
-        let len = u32::from_le_bytes(lenb) as usize;
         let mut frame = vec![0u8; len];
-        read_exact_at(&mut self.store, &mut frame, base)?;
-        let mut f = Fields::new(&frame, base);
-        let tag = f.u8()?;
+        self.store
+            .seek(SeekFrom::Start(base))
+            .and_then(|_| self.store.read_exact(&mut frame))
+            .map_err(|e| match e.kind() {
+                std::io::ErrorKind::UnexpectedEof => JournalError::Truncated { offset: base },
+                kind => JournalError::Io { kind, offset: base },
+            })?;
+        let mut r = Reader::new(&frame, base);
+        let tag = r.u8()?;
         if tag != TAG_BEGIN {
             return Err(JournalError::BadTag { tag, offset: base });
         }
-        let rec_epoch = f.u64()?;
-        if rec_epoch != epoch {
+        if r.u64()? != epoch {
             return Err(JournalError::BadField { offset: base });
         }
-        let n_events = f.u32()? as usize;
-        let n_feedback = f.u32()? as usize;
+        let n_events = r.count(wire::EVENT_LEN)?;
+        let n_feedback = r.count(wire::FEEDBACK_LEN)?;
         let mut events = Vec::with_capacity(n_events);
         let mut details = Vec::with_capacity(n_events);
         for _ in 0..n_events {
-            let (ev, det) = get_event(&mut f)?;
+            let (ev, det) = wire::get_event(&mut r)?;
             events.push(ev);
             details.push(det);
         }
         let mut feedback = Vec::with_capacity(n_feedback);
         for _ in 0..n_feedback {
-            feedback.push(get_feedback(&mut f)?);
+            feedback.push(wire::get_feedback(&mut r)?);
         }
         Ok(Some(EpochRecord {
             epoch,
@@ -551,12 +403,13 @@ impl<S: Read + Write + Seek> Journal<S> {
     /// with a begin but no commit was in flight when the process died
     /// and is re-run live from the stream instead.
     pub fn committed(&self, epoch: u64) -> bool {
-        self.begins.contains_key(&epoch) && self.commits.contains_key(&epoch)
+        self.index.begins.contains_key(&epoch) && self.index.commits.contains_key(&epoch)
     }
 
     /// The digest committed for `(epoch, shard)`, when one was journaled.
     pub fn committed_digest(&self, epoch: u64, shard: usize) -> Option<u64> {
-        self.commits
+        self.index
+            .commits
             .get(&epoch)
             .and_then(|d| d.as_ref())
             .and_then(|d| d.get(shard).copied())
@@ -564,12 +417,15 @@ impl<S: Read + Write + Seek> Journal<S> {
 
     /// The run-end record, when the run completed: `(epochs, digests)`.
     pub fn finished(&self) -> Option<(u64, &[u64])> {
-        self.finished.as_ref().map(|(e, d)| (*e, d.as_slice()))
+        self.index
+            .finished
+            .as_ref()
+            .map(|(e, d)| (*e, d.as_slice()))
     }
 
     /// Epochs with a begin record.
     pub fn epochs_journaled(&self) -> u64 {
-        self.begins.len() as u64
+        self.index.begins.len() as u64
     }
 
     /// Frame bytes appended through this handle (header excluded).
@@ -588,28 +444,14 @@ impl<S: Read + Write + Seek> Journal<S> {
     }
 }
 
-/// `read_exact` at an absolute offset, mapping errors to typed variants.
-fn read_exact_at<S: Read + Seek>(
-    store: &mut S,
-    buf: &mut [u8],
-    offset: u64,
-) -> Result<(), JournalError> {
-    store
-        .seek(SeekFrom::Start(offset))
-        .map_err(|e| JournalError::Io {
-            kind: e.kind(),
-            offset,
-        })?;
-    store.read_exact(buf).map_err(|e| match e.kind() {
-        std::io::ErrorKind::UnexpectedEof => JournalError::Truncated { offset },
-        kind => JournalError::Io { kind, offset },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osn_graph::Timestamp;
+    use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
     use std::io::Cursor;
+    use sybil_features::FeatureVector;
+    use sybil_serve::fault::FeedbackRecord;
 
     fn sample_epoch(epoch: u64) -> EpochRecord {
         EpochRecord {
@@ -703,6 +545,42 @@ mod tests {
         let cut = bytes.len() - 3;
         let err = Journal::open(Cursor::new(bytes[..cut].to_vec())).unwrap_err();
         assert!(matches!(err, JournalError::Truncated { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn corrupt_event_count_is_typed_not_an_allocation() {
+        // Flip the high byte of epoch 0's `n_events`: the begin frame
+        // still walks, but it now claims ~4e9 events it cannot hold.
+        let mut bytes = write_sample();
+        let n_events_at = 8 + 4 + 1 + 8; // header, frame len, tag, epoch
+        bytes[n_events_at + 3] ^= 0xff;
+        let mut j = Journal::open(Cursor::new(bytes)).unwrap();
+        let err = j.read_epoch(0).err();
+        assert_eq!(
+            err,
+            Some(JournalError::BadField {
+                offset: n_events_at as u64
+            })
+        );
+    }
+
+    #[test]
+    fn valid_prefix_stops_at_the_torn_tail() {
+        let whole = write_sample();
+        let end = whole.len() as u64;
+        assert_eq!(valid_prefix(&whole), Ok(end));
+        // A frame cut mid-length and a frame cut mid-payload both end
+        // the valid prefix where the torn frame starts; `open` rejects
+        // the same bytes.
+        for torn in [&[7u8, 0][..], &[100, 0, 0, 0, 1, 2]] {
+            let mut bytes = whole.clone();
+            bytes.extend_from_slice(torn);
+            assert_eq!(valid_prefix(&bytes), Ok(end));
+            assert_eq!(
+                Journal::open(Cursor::new(bytes)).unwrap_err(),
+                JournalError::Truncated { offset: end }
+            );
+        }
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! N` prints the same bytes every run.
 //!
 //! Everything is deterministic by construction: schedules derive from
-//! `osn_sim::splitmix64`, the journal format is little-endian and
-//! platform-width-free, and no wall clock is read anywhere.
+//! `osn_sim::splitmix64`, the journal is encoded through [`wire`], the
+//! little-endian, platform-width-free codec that `sybil-store`'s
+//! checkpoints share, and no wall clock is read anywhere.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -31,9 +32,10 @@ pub mod journal;
 pub mod plane;
 pub mod report;
 pub mod schedule;
+pub mod wire;
 
 pub use journal::{Journal, JournalError};
-pub use plane::{ChaosPlane, FaultTally};
+pub use plane::{ChaosPlane, FaultTally, DEFAULT_DIGEST_CADENCE};
 pub use report::{ChaosOutcome, RecoveryReport};
 pub use schedule::{FaultSchedule, FaultSpec, FaultSpecKind};
 

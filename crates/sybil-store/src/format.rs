@@ -4,8 +4,10 @@
 //! ## Format
 //!
 //! A checkpoint file is a header, a run of tagged sections, and a digest
-//! trailer. All integers are little-endian; floats are IEEE-754 bit
-//! patterns written as `u64`; `usize` never appears on disk. The byte
+//! trailer, encoded through the shared `sybil_chaos::wire` codec: all
+//! integers are little-endian; floats are IEEE-754 bit patterns written
+//! as `u64`; `usize` never appears on disk; every decoded count is
+//! checked against the bytes left before anything is allocated. The byte
 //! stream is a pure function of the logical checkpoint, so two encodes of
 //! equal state are byte-identical on every platform — the golden-bytes
 //! regression test pins exactly this.
@@ -36,9 +38,9 @@
 //! (temporary sibling + rename, so a crash mid-write never leaves a
 //! half-checkpoint under the final name), journal files are
 //! opened through [`open_or_create_journal`] (which first truncates a
-//! torn tail back to the last whole frame, because
-//! `Journal::open` is strict about truncation), and directory scans go
-//! through [`list_checkpoints`].
+//! torn tail back to the offset `sybil_chaos::journal::valid_prefix`
+//! reports, because `Journal::open` is strict about truncation), and
+//! directory scans go through [`list_checkpoints`].
 
 use crate::error::{IoOp, StoreError};
 use osn_graph::{NodeId, Timestamp};
@@ -47,11 +49,10 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use sybil_chaos::journal::{self, Journal, JournalError};
+use sybil_chaos::wire::{self, put_bool, put_u32, put_u64, put_u8, Reader, WireError};
 use sybil_core::digest::Digest64;
 use sybil_core::realtime::state::AccountState;
 use sybil_core::realtime::{Detection, ReplayCounters};
-use sybil_features::FeatureVector;
-use sybil_serve::fault::FeedbackRecord;
 use sybil_serve::{SessionCheckpoint, ShardSnapshot};
 
 /// Checkpoint magic: `b"SYBS"`.
@@ -69,94 +70,28 @@ const TAG_CARRY: u8 = 6;
 const TAG_TOTALS: u8 = 7;
 
 // ---------------------------------------------------------------------
-// Field encoders (little-endian, width-explicit).
+// Section payload codecs, over the shared `sybil_chaos::wire` codec.
 // ---------------------------------------------------------------------
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    put_u8(buf, u8::from(v));
-}
-
-/// Little-endian field decoder with absolute offsets for error reports.
-struct Fields<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    base: u64,
-}
-
-impl<'a> Fields<'a> {
-    fn new(buf: &'a [u8], base: u64) -> Self {
-        Fields { buf, pos: 0, base }
-    }
-
-    fn offset(&self) -> u64 {
-        self.base + self.pos as u64
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(StoreError::TruncatedFrame {
-                offset: self.offset(),
-            }),
+impl From<WireError> for StoreError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { offset } => StoreError::TruncatedFrame { offset },
+            WireError::BadField { offset } => StoreError::BadField { offset },
         }
     }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        let s = self.take(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, StoreError> {
-        let off = self.offset();
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(StoreError::BadField { offset: off }),
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
-// ---------------------------------------------------------------------
-// Section payload codecs.
-// ---------------------------------------------------------------------
+/// Smallest encoding of an [`AccountState`]: empty send and friend lists.
+const ACCOUNT_MIN_LEN: usize = 4 * 3 + 4 + 4 + 4 + 2;
+/// Smallest encoding of a [`ShardSnapshot`]: no states, no feedback.
+const SHARD_MIN_LEN: usize = 4 + 31 * 8 + 4 + 8 + 8;
+/// Encoded size of one queued `(due, features, truth)` feedback entry.
+const QUEUED_FEEDBACK_LEN: usize = 8 + wire::FEATURES_LEN + 1;
+/// Encoded size of one `(u, v, t)` edge.
+const EDGE_LEN: usize = 4 + 4 + 8;
+/// Encoded size of one `(seq, Detection)`.
+const TAGGED_LEN: usize = 8 + 4 + 8 + 1;
 
 fn put_account(buf: &mut Vec<u8>, st: &AccountState) {
     put_u32(buf, st.sent);
@@ -175,23 +110,13 @@ fn put_account(buf: &mut Vec<u8>, st: &AccountState) {
     put_bool(buf, st.detected);
 }
 
-fn get_account(f: &mut Fields<'_>) -> Result<AccountState, StoreError> {
-    let sent = f.u32()?;
-    let accepted = f.u32()?;
-    let rejected = f.u32()?;
-    let n_recent = f.u32()? as usize;
-    let mut recent_sends = std::collections::VecDeque::with_capacity(n_recent);
-    for _ in 0..n_recent {
-        recent_sends.push_back(f.u64()?);
-    }
-    let peak_1h = f.u32()?;
-    let n_friends = f.u32()? as usize;
-    let mut friends = Vec::with_capacity(n_friends);
-    for _ in 0..n_friends {
-        friends.push(NodeId(f.u32()?));
-    }
-    let friends_dup = f.bool()?;
-    let detected = f.bool()?;
+fn get_account(r: &mut Reader<'_>) -> Result<AccountState, WireError> {
+    let sent = r.u32()?;
+    let accepted = r.u32()?;
+    let rejected = r.u32()?;
+    let recent_sends = r.list(8, Reader::u64)?.into();
+    let peak_1h = r.u32()?;
+    let friends = r.list(4, |r| r.u32().map(NodeId))?;
     Ok(AccountState {
         sent,
         accepted,
@@ -199,24 +124,8 @@ fn get_account(f: &mut Fields<'_>) -> Result<AccountState, StoreError> {
         recent_sends,
         peak_1h,
         friends,
-        friends_dup,
-        detected,
-    })
-}
-
-fn put_features(buf: &mut Vec<u8>, fv: &FeatureVector) {
-    for v in fv.as_array() {
-        put_f64(buf, v);
-    }
-}
-
-fn get_features(f: &mut Fields<'_>) -> Result<FeatureVector, StoreError> {
-    Ok(FeatureVector {
-        inv_freq_1h: f.f64()?,
-        inv_freq_400h: f.f64()?,
-        outgoing_accept_ratio: f.f64()?,
-        incoming_accept_ratio: f.f64()?,
-        clustering_coefficient: f.f64()?,
+        friends_dup: r.bool()?,
+        detected: r.bool()?,
     })
 }
 
@@ -231,39 +140,28 @@ fn put_shard(buf: &mut Vec<u8>, s: &ShardSnapshot) {
     put_u32(buf, s.feedback_queue.len() as u32);
     for (due, fv, truth) in &s.feedback_queue {
         put_u64(buf, due.as_secs());
-        put_features(buf, fv);
+        wire::put_features(buf, fv);
         put_bool(buf, *truth);
     }
     put_u64(buf, s.sends_until_audit);
     put_u64(buf, s.audit_cursor);
 }
 
-fn get_shard(f: &mut Fields<'_>) -> Result<ShardSnapshot, StoreError> {
-    let n_states = f.u32()? as usize;
-    let mut states = Vec::with_capacity(n_states);
-    for _ in 0..n_states {
-        states.push(get_account(f)?);
-    }
+fn get_shard(r: &mut Reader<'_>) -> Result<ShardSnapshot, WireError> {
+    let states = r.list(ACCOUNT_MIN_LEN, get_account)?;
     let mut adaptive = [0u64; 31];
     for w in &mut adaptive {
-        *w = f.u64()?;
+        *w = r.u64()?;
     }
-    let n_feedback = f.u32()? as usize;
-    let mut feedback_queue = Vec::with_capacity(n_feedback);
-    for _ in 0..n_feedback {
-        let due = Timestamp(f.u64()?);
-        let fv = get_features(f)?;
-        let truth = f.bool()?;
-        feedback_queue.push((due, fv, truth));
-    }
-    let sends_until_audit = f.u64()?;
-    let audit_cursor = f.u64()?;
+    let feedback_queue = r.list(QUEUED_FEEDBACK_LEN, |r| {
+        Ok((Timestamp(r.u64()?), wire::get_features(r)?, r.bool()?))
+    })?;
     Ok(ShardSnapshot {
         states,
         adaptive,
         feedback_queue,
-        sends_until_audit,
-        audit_cursor,
+        sends_until_audit: r.u64()?,
+        audit_cursor: r.u64()?,
     })
 }
 
@@ -276,38 +174,9 @@ fn put_edges(buf: &mut Vec<u8>, edges: &[(NodeId, NodeId, Timestamp)]) {
     }
 }
 
-fn get_edges(f: &mut Fields<'_>) -> Result<Vec<(NodeId, NodeId, Timestamp)>, StoreError> {
-    let n = f.u32()? as usize;
-    let mut edges = Vec::with_capacity(n);
-    for _ in 0..n {
-        let u = NodeId(f.u32()?);
-        let v = NodeId(f.u32()?);
-        let t = Timestamp(f.u64()?);
-        edges.push((u, v, t));
-    }
-    Ok(edges)
-}
-
-fn put_feedback_record(buf: &mut Vec<u8>, fb: &FeedbackRecord) {
-    put_u64(buf, fb.seq);
-    put_u8(buf, fb.intra);
-    put_u64(buf, fb.due.as_secs());
-    put_features(buf, &fb.features);
-    put_bool(buf, fb.truth);
-}
-
-fn get_feedback_record(f: &mut Fields<'_>) -> Result<FeedbackRecord, StoreError> {
-    let seq = f.u64()?;
-    let intra = f.u8()?;
-    let due = Timestamp(f.u64()?);
-    let features = get_features(f)?;
-    let truth = f.bool()?;
-    Ok(FeedbackRecord {
-        seq,
-        intra,
-        due,
-        features,
-        truth,
+fn get_edges(r: &mut Reader<'_>) -> Result<Vec<(NodeId, NodeId, Timestamp)>, WireError> {
+    r.list(EDGE_LEN, |r| {
+        Ok((NodeId(r.u32()?), NodeId(r.u32()?), Timestamp(r.u64()?)))
     })
 }
 
@@ -327,15 +196,15 @@ fn sections(cp: &SessionCheckpoint) -> BTreeMap<u8, Vec<u8>> {
     }
     map.insert(TAG_SHARDS, shards);
 
-    let mut folded = Vec::with_capacity(4 + cp.folded_edges.len() * 16);
+    let mut folded = Vec::with_capacity(4 + cp.folded_edges.len() * EDGE_LEN);
     put_edges(&mut folded, &cp.folded_edges);
     map.insert(TAG_FOLDED, folded);
 
-    let mut staged = Vec::with_capacity(4 + cp.staged_edges.len() * 16);
+    let mut staged = Vec::with_capacity(4 + cp.staged_edges.len() * EDGE_LEN);
     put_edges(&mut staged, &cp.staged_edges);
     map.insert(TAG_STAGED, staged);
 
-    let mut tagged = Vec::with_capacity(4 + cp.tagged.len() * 21);
+    let mut tagged = Vec::with_capacity(4 + cp.tagged.len() * TAGGED_LEN);
     put_u32(&mut tagged, cp.tagged.len() as u32);
     for &(seq, det) in &cp.tagged {
         put_u64(&mut tagged, seq);
@@ -345,10 +214,10 @@ fn sections(cp: &SessionCheckpoint) -> BTreeMap<u8, Vec<u8>> {
     }
     map.insert(TAG_TAGGED, tagged);
 
-    let mut carry = Vec::with_capacity(4 + cp.carry_feedback.len() * 58);
+    let mut carry = Vec::with_capacity(4 + cp.carry_feedback.len() * wire::FEEDBACK_LEN);
     put_u32(&mut carry, cp.carry_feedback.len() as u32);
     for fb in &cp.carry_feedback {
-        put_feedback_record(&mut carry, fb);
+        wire::put_feedback(&mut carry, fb);
     }
     map.insert(TAG_CARRY, carry);
 
@@ -364,12 +233,18 @@ fn sections(cp: &SessionCheckpoint) -> BTreeMap<u8, Vec<u8>> {
     map
 }
 
-/// Fold the header fields and every section into the trailer digest.
-fn trailer_digest(map: &BTreeMap<u8, Vec<u8>>) -> u64 {
+/// Fold the header fields and every `(tag, payload)` section, in file
+/// order, into the trailer digest.
+fn trailer_digest<'a, I>(sections: I) -> u64
+where
+    I: IntoIterator<Item = (u8, &'a [u8])>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let sections = sections.into_iter();
     let mut d = Digest64::new();
     d.write_u32(VERSION);
-    d.write_usize(map.len());
-    for (&tag, payload) in map {
+    d.write_usize(sections.len());
+    for (tag, payload) in sections {
         d.write_u32(u32::from(tag));
         d.write_usize(payload.len());
         for chunk in payload.chunks(8) {
@@ -395,7 +270,7 @@ pub fn encode_checkpoint(cp: &SessionCheckpoint) -> Vec<u8> {
         put_u32(&mut out, payload.len() as u32);
         out.extend_from_slice(payload);
     }
-    put_u64(&mut out, trailer_digest(&map));
+    put_u64(&mut out, trailer_digest(map.iter().map(|(&t, p)| (t, p.as_slice()))));
     out
 }
 
@@ -403,12 +278,10 @@ pub fn encode_checkpoint(cp: &SessionCheckpoint) -> Vec<u8> {
 /// verifying the trailer digest and rejecting unknown, duplicate, or
 /// out-of-order sections.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> {
-    let mut f = Fields::new(bytes, 0);
-    let magic = f.take(4)?;
+    let mut f = Reader::new(bytes, 0);
+    let magic = f.array()?;
     if magic != MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(magic);
-        return Err(StoreError::BadMagic { found });
+        return Err(StoreError::BadMagic { found: magic });
     }
     let version = f.u32()?;
     if version != VERSION {
@@ -433,33 +306,30 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
         prev_tag = Some(tag);
         let len = f.u32()? as usize;
         let base = f.offset();
-        let payload = f.take(len)?;
-        map.insert(tag, (base, payload));
+        map.insert(tag, (base, f.take(len)?));
     }
     let expected = f.u64()?;
     if !f.done() {
         return Err(StoreError::BadField { offset: f.offset() });
     }
-    let mut owned: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
-    for (&tag, &(_, payload)) in &map {
-        owned.insert(tag, payload.to_vec());
-    }
-    let found = trailer_digest(&owned);
+    let found = trailer_digest(map.iter().map(|(&t, &(_, p))| (t, p)));
     if found != expected {
         return Err(StoreError::DigestMismatch { expected, found });
     }
 
-    let section = |tag: u8| -> Result<Fields<'_>, StoreError> {
+    let section = |tag: u8| {
         map.get(&tag)
-            .map(|&(base, payload)| Fields::new(payload, base))
+            .map(|&(base, payload)| Reader::new(payload, base))
             .ok_or(StoreError::MissingSection { tag })
     };
 
     let mut meta = section(TAG_META)?;
     let epochs = meta.u64()?;
-    let n_shards = meta.u32()? as usize;
+    let n_shards_at = meta.offset();
+    let n_shards = meta.u32()?;
 
     let mut sh = section(TAG_SHARDS)?;
+    let n_shards = sh.room_for(n_shards, SHARD_MIN_LEN, n_shards_at)?;
     let mut shards = Vec::with_capacity(n_shards);
     for _ in 0..n_shards {
         shards.push(get_shard(&mut sh)?);
@@ -468,23 +338,13 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
     let folded_edges = get_edges(&mut section(TAG_FOLDED)?)?;
     let staged_edges = get_edges(&mut section(TAG_STAGED)?)?;
 
-    let mut tg = section(TAG_TAGGED)?;
-    let n_tagged = tg.u32()? as usize;
-    let mut tagged = Vec::with_capacity(n_tagged);
-    for _ in 0..n_tagged {
-        let seq = tg.u64()?;
-        let account = NodeId(tg.u32()?);
-        let at = Timestamp(tg.u64()?);
-        let correct = tg.bool()?;
-        tagged.push((seq, Detection { account, at, correct }));
-    }
-
-    let mut cf = section(TAG_CARRY)?;
-    let n_carry = cf.u32()? as usize;
-    let mut carry_feedback = Vec::with_capacity(n_carry);
-    for _ in 0..n_carry {
-        carry_feedback.push(get_feedback_record(&mut cf)?);
-    }
+    let tagged = section(TAG_TAGGED)?.list(TAGGED_LEN, |r| {
+        let seq = r.u64()?;
+        let account = NodeId(r.u32()?);
+        let at = Timestamp(r.u64()?);
+        Ok((seq, Detection { account, at, correct: r.bool()? }))
+    })?;
+    let carry_feedback = section(TAG_CARRY)?.list(wire::FEEDBACK_LEN, wire::get_feedback)?;
 
     let mut tot = section(TAG_TOTALS)?;
     let totals = ReplayCounters {
@@ -528,11 +388,11 @@ pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
 /// Write `bytes` to `path` atomically: a temporary sibling is written
 /// first, then renamed over the final name, so a crash at any point
 /// leaves either the old file or the complete new one under the final
-/// name — never a torn checkpoint. There is deliberately no fsync on
-/// this path: checkpoints are a recovery *accelerator*, not the source
-/// of durability (the write-ahead journal is), and a checkpoint lost to
-/// power failure just means recovery falls back to an older one plus a
-/// longer journal tail. The trailer digest catches any file the rename
+/// name — never a torn checkpoint. There is no fsync on this path, nor
+/// on the journal's: both survive the process dying, not power loss.
+/// Checkpoints are a recovery *accelerator* over the write-ahead
+/// journal, so a lost checkpoint just means recovery falls back to an
+/// older one plus a longer journal tail. The trailer digest catches any file the rename
 /// contract didn't protect.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = path.with_extension("tmp");
@@ -574,9 +434,8 @@ pub(crate) fn checkpoint_name(epochs: u64) -> String {
 fn map_journal(e: JournalError) -> StoreError {
     match e {
         JournalError::Io { kind, .. } => StoreError::Io { op: IoOp::Read, kind },
-        // `open_or_create_journal` validates magic and version from the
-        // raw bytes before handing the file to `Journal::open`, so these
-        // two arms are defensive.
+        // `open_or_create_journal` reports a bad magic with the bytes it
+        // found before this mapping is reached.
         JournalError::BadMagic => StoreError::BadMagic { found: [0; 4] },
         JournalError::BadVersion(v) => StoreError::VersionMismatch {
             found: v,
@@ -585,47 +444,6 @@ fn map_journal(e: JournalError) -> StoreError {
         JournalError::Truncated { offset } => StoreError::TruncatedFrame { offset },
         JournalError::BadTag { offset, .. } | JournalError::BadField { offset } => {
             StoreError::BadField { offset }
-        }
-    }
-}
-
-/// Length of the longest valid prefix of a `SYBJ` stream: the header
-/// plus every whole frame. Bytes past it are a torn append.
-fn journal_valid_prefix(bytes: &[u8]) -> Result<u64, StoreError> {
-    if bytes.len() < 8 {
-        return Err(StoreError::TruncatedFrame {
-            offset: bytes.len() as u64,
-        });
-    }
-    if bytes[..4] != journal::MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(&bytes[..4]);
-        return Err(StoreError::BadMagic { found });
-    }
-    let mut vb = [0u8; 4];
-    vb.copy_from_slice(&bytes[4..8]);
-    let version = u32::from_le_bytes(vb);
-    if version != journal::VERSION {
-        return Err(StoreError::VersionMismatch {
-            found: version,
-            expected: journal::VERSION,
-        });
-    }
-    let mut pos = 8usize;
-    loop {
-        let Some(lenb) = bytes.get(pos..pos + 4) else {
-            return Ok(pos as u64);
-        };
-        let mut b = [0u8; 4];
-        b.copy_from_slice(lenb);
-        let len = u32::from_le_bytes(b) as usize;
-        if len == 0 {
-            // A zero length can never be written; treat the rest as torn.
-            return Ok(pos as u64);
-        }
-        match pos.checked_add(4 + len) {
-            Some(end) if end <= bytes.len() => pos = end,
-            _ => return Ok(pos as u64),
         }
     }
 }
@@ -662,13 +480,21 @@ pub(crate) fn open_or_create_journal(path: &Path) -> Result<Journal<File>, Store
             .map_err(io_err(IoOp::Truncate))?;
         return Journal::create(file).map_err(map_journal);
     }
-    let valid = journal_valid_prefix(&bytes)?;
+    let valid = journal::valid_prefix(&bytes).map_err(|e| match e {
+        JournalError::BadMagic => StoreError::BadMagic {
+            found: [bytes[0], bytes[1], bytes[2], bytes[3]],
+        },
+        e => map_journal(e),
+    })?;
+    let torn = valid < bytes.len() as u64;
+    // `Journal::open` reads the file again; hold one copy at a time.
+    drop(bytes);
     let file = OpenOptions::new()
         .read(true)
         .write(true)
         .open(path)
         .map_err(io_err(IoOp::Read))?;
-    if valid < bytes.len() as u64 {
+    if torn {
         file.set_len(valid).map_err(io_err(IoOp::Truncate))?;
     }
     Journal::open(file).map_err(map_journal)
@@ -677,6 +503,8 @@ pub(crate) fn open_or_create_journal(path: &Path) -> Result<Journal<File>, Store
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sybil_features::FeatureVector;
+    use sybil_serve::fault::FeedbackRecord;
 
     /// A small synthetic checkpoint exercising every section and every
     /// field kind (floats included, with a negative zero to pin bit
@@ -803,6 +631,24 @@ mod tests {
             "{err:?}"
         );
 
+        // A meta section claiming u32::MAX shards under a valid trailer
+        // digest: the count is rejected before anything is allocated.
+        let n_shards_at = 12 + 1 + 4 + 8; // header, section tag + len, epochs
+        let mut map = sections(&sample_checkpoint());
+        let claim = u32::MAX.to_le_bytes();
+        map.get_mut(&TAG_META).unwrap()[8..12].copy_from_slice(&claim);
+        let mut crafted = bytes.clone();
+        crafted[n_shards_at..n_shards_at + 4].copy_from_slice(&claim);
+        let trailer = crafted.len() - 8;
+        let digest = trailer_digest(map.iter().map(|(&t, p)| (t, p.as_slice())));
+        crafted[trailer..].copy_from_slice(&digest.to_le_bytes());
+        assert_eq!(
+            decode_checkpoint(&crafted),
+            Err(StoreError::BadField {
+                offset: n_shards_at as u64
+            })
+        );
+
         // An unknown section tag is rejected, not skipped.
         let mut bad_tag = bytes.clone();
         bad_tag[12] = 99; // first section tag (magic 4 + version 4 + count 4)
@@ -817,18 +663,28 @@ mod tests {
     }
 
     #[test]
-    fn journal_prefix_walk_finds_last_whole_frame() {
-        // header + one 5-byte frame + one torn frame.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&journal::MAGIC);
-        bytes.extend_from_slice(&journal::VERSION.to_le_bytes());
-        bytes.extend_from_slice(&5u32.to_le_bytes());
-        bytes.extend_from_slice(&[1, 2, 3, 4, 5]);
-        let whole = bytes.len() as u64;
+    fn torn_journal_tail_is_truncated_on_open() {
+        let dir = std::env::temp_dir().join(format!(
+            "sybil-store-format-{}-torn",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ensure_dir(&dir).unwrap();
+        let path = dir.join("journal.sybj");
+        open_or_create_journal(&path)
+            .unwrap()
+            .append_commit(0, None)
+            .unwrap();
+        let whole = std::fs::metadata(&path).unwrap().len();
+        // An append cut short: a length prefix promising 100 bytes, then 2.
+        let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&100u32.to_le_bytes());
-        bytes.extend_from_slice(&[9, 9]); // frame cut short
-        assert_eq!(journal_valid_prefix(&bytes).unwrap(), whole);
-        // A clean stream keeps its full length.
-        assert_eq!(journal_valid_prefix(&bytes[..whole as usize]).unwrap(), whole);
+        bytes.extend_from_slice(&[9, 9]);
+        std::fs::write(&path, &bytes).unwrap();
+        let j = open_or_create_journal(&path).unwrap();
+        assert_eq!(j.len_bytes(), whole);
+        assert!(j.committed_digest(0, 0).is_none());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), whole);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

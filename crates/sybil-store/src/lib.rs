@@ -34,22 +34,22 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 //!
-//! Module layout mirrors the trust boundaries: [`format`] owns every
-//! byte layout **and every filesystem touch** (workspace lint rule S119
-//! keeps versioned-state IO inside it), [`store`] is the
-//! checkpoint-directory and fault-plane layer above it, [`ingest`] is
-//! the batched event front-end with bounded-queue backpressure, and
-//! [`error`] is the typed failure surface — no strings, no leaked
-//! `io::Error`.
+//! Module layout mirrors the trust boundaries: [`format`](mod@format) owns the
+//! `SYBS` layout **and every filesystem touch** (workspace lint rule
+//! S119 keeps versioned-state IO inside it), [`store`] is the
+//! checkpoint-directory and fault-plane layer above it, and [`error`] is
+//! the typed failure surface — no strings, no leaked `io::Error`. The
+//! bytes themselves go through `sybil_chaos::wire`, the one
+//! little-endian codec shared with the `SYBJ` journal, and the journal's
+//! torn-tail repair truncates to the offset its own frame walker
+//! reports.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod error;
 pub mod format;
-pub mod ingest;
 pub mod store;
 
 pub use error::{IoOp, StoreError};
-pub use ingest::{EventBatch, IngestQueue};
-pub use store::{SnapshotStore, StorePlane, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DIGEST_EVERY};
+pub use store::{SnapshotStore, StorePlane, DEFAULT_CHECKPOINT_EVERY};

@@ -8,7 +8,7 @@
 //! store/
 //!   checkpoint-00000004.sybs   # session state after 4 completed epochs
 //!   checkpoint-00000008.sybs
-//!   journal.sybj               # PR-9 epoch journal (SYBJ frames)
+//!   journal.sybj               # write-ahead epoch journal (SYBJ frames)
 //! ```
 //!
 //! [`SnapshotStore::latest`] walks checkpoints newest-first and skips any
@@ -38,7 +38,7 @@ use crate::error::StoreError;
 use crate::format;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use sybil_chaos::Journal;
+use sybil_chaos::{Journal, DEFAULT_DIGEST_CADENCE};
 use sybil_serve::fault::{
     ChaosError, EpochRecord, EpochRecordRef, FaultKind, FaultPlane, ResumeState,
     SessionCheckpoint,
@@ -55,11 +55,6 @@ use sybil_serve::fault::{
 /// (`with_cadence`) when restart latency matters more than throughput —
 /// the `repro restart` drill runs at cadence 1.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
-
-/// Default digest cadence for journal commits, matching the chaos
-/// plane's: per-shard state digests every 4th epoch, so tail replay is
-/// verified against committed digests at that granularity.
-pub const DEFAULT_DIGEST_EVERY: u64 = 4;
 
 /// A directory of versioned `SYBS` checkpoints plus the epoch journal.
 #[derive(Debug)]
@@ -131,7 +126,6 @@ pub struct StorePlane {
     store: SnapshotStore,
     journal: Journal<File>,
     checkpoint_every: u64,
-    digest_every: u64,
     kill_at: Option<u64>,
     /// `Some(epochs)` when the journal already carried a run-end record
     /// at open — a restart of a finished run must not append a second.
@@ -141,18 +135,17 @@ pub struct StorePlane {
 }
 
 impl StorePlane {
-    /// Open a durable plane over `dir` at the default cadences.
+    /// Open a durable plane over `dir` at the default checkpoint cadence.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        Self::with_cadence(dir, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DIGEST_EVERY)
+        Self::with_cadence(dir, DEFAULT_CHECKPOINT_EVERY)
     }
 
-    /// [`open`](Self::open) with explicit cadences: a checkpoint every
-    /// `checkpoint_every` epochs (0 = never) and journal digests every
-    /// `digest_every` epochs (0 = never).
+    /// [`open`](Self::open) with a checkpoint every `checkpoint_every`
+    /// epochs (0 = never). Journal commits carry per-shard digests every
+    /// [`DEFAULT_DIGEST_CADENCE`] epochs, as the chaos plane's do.
     pub fn with_cadence(
         dir: impl Into<PathBuf>,
         checkpoint_every: u64,
-        digest_every: u64,
     ) -> Result<Self, StoreError> {
         let store = SnapshotStore::open(dir)?;
         let journal = format::open_or_create_journal(&store.journal_path())?;
@@ -161,7 +154,6 @@ impl StorePlane {
             store,
             journal,
             checkpoint_every,
-            digest_every,
             kill_at: None,
             finished_at_open,
             resumed_from: None,
@@ -228,7 +220,7 @@ impl FaultPlane for StorePlane {
     }
 
     fn wants_digests(&self, epoch: u64) -> bool {
-        self.digest_every != 0 && epoch.is_multiple_of(self.digest_every)
+        epoch.is_multiple_of(DEFAULT_DIGEST_CADENCE)
     }
 
     fn epoch_commit(&mut self, epoch: u64, digests: Option<&[u64]>) -> Result<(), ChaosError> {
@@ -365,7 +357,7 @@ mod tests {
         assert!(plane.wants_checkpoint(DEFAULT_CHECKPOINT_EVERY - 1));
         assert!(plane.wants_digests(0));
         assert!(!plane.wants_digests(1));
-        assert!(plane.wants_digests(DEFAULT_DIGEST_EVERY));
+        assert!(plane.wants_digests(DEFAULT_DIGEST_CADENCE));
         drop(plane);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -374,7 +366,7 @@ mod tests {
     fn plane_journals_and_checkpoints_through_the_hooks() {
         let dir = tmpdir("plane");
         {
-            let mut plane = StorePlane::with_cadence(&dir, 1, 4).unwrap();
+            let mut plane = StorePlane::with_cadence(&dir, 1).unwrap();
             assert!(plane.enabled());
             assert!(plane.wants_checkpoint(0), "cadence 1 checkpoints every epoch");
             assert!(plane.load_resume().unwrap().is_none(), "fresh store is cold");

@@ -72,7 +72,7 @@ fn kill_then_restart(
     kill_epoch: u64,
     every: u64,
 ) -> String {
-    let mut doomed = StorePlane::with_cadence(dir, every, 4)
+    let mut doomed = StorePlane::with_cadence(dir, every)
         .expect("store opens")
         .kill_at_epoch(kill_epoch);
     let err = ServeSession::new(*cfg)
@@ -88,7 +88,7 @@ fn kill_then_restart(
     }
     drop(doomed);
 
-    let mut revived = StorePlane::with_cadence(dir, every, 4).expect("store reopens");
+    let mut revived = StorePlane::with_cadence(dir, every).expect("store reopens");
     let outcome = ServeSession::new(*cfg)
         .store(&mut revived)
         .run(out)
@@ -149,7 +149,7 @@ fn sparse_checkpoints_recover_through_the_journal_tail() {
     // Checkpoint every 4th epoch only: a kill at epoch 6 resumes from
     // the epoch-4 checkpoint and replays committed epochs 4..6 from the
     // journal before going live.
-    let mut doomed = StorePlane::with_cadence(&dir, 4, 1)
+    let mut doomed = StorePlane::with_cadence(&dir, 4)
         .unwrap()
         .kill_at_epoch(6);
     ServeSession::new(cfg)
@@ -157,7 +157,7 @@ fn sparse_checkpoints_recover_through_the_journal_tail() {
         .run(&out)
         .expect_err("killed");
     drop(doomed);
-    let mut revived = StorePlane::with_cadence(&dir, 4, 1).unwrap();
+    let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
     let o = ServeSession::new(cfg).store(&mut revived).run(&out).unwrap();
     assert_eq!(revived.resumed_from(), Some(4));
     assert_eq!(revived.tail_replayed(), 2, "epochs 4 and 5 replay from the journal");

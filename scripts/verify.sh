@@ -202,11 +202,13 @@ print(f"obs guard: overhead {r['overhead_pct']:.2f}% (<5% required), "
 sys.exit(0 if ok else 1)
 PY
 
-echo "== chaos: fault-injection invariant proptests (release) =="
-# The headline invariant — any fault schedule yields output
+echo "== persistence + chaos: sybil-store and sybil-chaos tests (release) =="
+# The headline chaos invariant — any fault schedule yields output
 # byte-identical to the fault-free run OR a typed ChaosError, never
-# silent divergence — plus the journal round-trip at 1/2/8 shards.
-cargo test -q --release -p sybil-chaos --test chaos_props
+# silent divergence — plus the journal round-trip at 1/2/8 shards, the
+# SYBS golden-bytes test, the kill/restart proptest, and the typed
+# corrupt-count tests for both on-disk formats.
+cargo test -q --release -p sybil-store -p sybil-chaos
 
 echo "== chaos: crash-recovery smoke + journal overhead gate =="
 # Seeded mid-stream shard crash must recover from the write-ahead
