@@ -7,8 +7,8 @@
 //! epoch write-ahead journaled, per-shard digests every
 //! [`DEFAULT_DIGEST_CADENCE`](sybil_chaos::DEFAULT_DIGEST_CADENCE)th
 //! epoch — the `repro chaos` drill configuration), paired per rep and
-//! order-rotated across `REPS` reps (minimum paired overhead is what
-//! the gate sees). A third strict-cadence run (digests *every* epoch)
+//! order-rotated across `REPS` reps by the shared [`rotated_reps`]
+//! harness (minimum paired overhead is what the gate sees). A third strict-cadence run (digests *every* epoch)
 //! is measured and reported but not gated. The acceptance gates:
 //!
 //! * the journaled run's report is byte-identical to the plain run's;
@@ -22,139 +22,76 @@
 //! Writes `BENCH_chaos.json` at the working directory root. Run with
 //! `cargo run --release -p sybil-bench --bin chaos_bench`.
 
-use osn_sim::stream::EventStream;
-use osn_sim::{simulate, SimConfig};
 use std::io::Cursor;
-use std::time::Instant;
-use sybil_chaos::{
-    run_chaos_in_memory, ChaosOutcome, ChaosPlane, FaultSchedule, FaultSpec, FaultSpecKind,
-    Journal,
+use sybil_bench::{
+    adaptive_detect, announce, bench_clock, rotated_reps, same_report, serve_config, small_fixture,
+    write_report,
 };
-use sybil_core::realtime::RealtimeConfig;
-use sybil_core::ThresholdClassifier;
-use sybil_serve::{ServeConfig, ServeSession};
+use sybil_chaos::{
+    run_chaos_in_memory, ChaosOutcome, ChaosPlane, FaultSchedule, FaultSpec, FaultSpecKind, Journal,
+};
+use sybil_serve::ServeSession;
 
 const REPS: usize = 9;
 /// Epoch the smoke's shard crash lands in (mid-stream for the small
 /// sim's ~15 epochs at 48h).
 const CRASH_EPOCH: u64 = 2;
 const CRASH_SHARD: usize = 1;
+/// Leg indices for [`rotated_reps`].
+const OFF: usize = 0;
+const ON: usize = 1;
+const STRICT: usize = 2;
 
 fn main() {
-    let out = simulate(SimConfig::small(42));
-    let events = EventStream::new(&out.log).total_events();
-    eprintln!(
-        "chaos_bench: {} accounts, {} merged events",
-        out.accounts.len(),
-        events
-    );
+    let out = small_fixture();
+    let events = announce("chaos_bench", out);
+    let cfg = serve_config(4, adaptive_detect());
 
-    // Adaptive config: detections, feedback, and audits all live, so the
-    // journal carries every record kind.
-    let detect = RealtimeConfig {
-        rule: ThresholdClassifier {
-            max_out_ratio: 0.5,
-            min_freq: 15.0,
-            max_cc: f64::INFINITY,
-        },
-        adaptive: true,
-        ..RealtimeConfig::default()
+    // Each rep times all three variants back to back, order-rotated, and
+    // the gate takes the minimum per-rep paired overhead (see
+    // `rotated_reps`): a spurious failure would need every one of the
+    // `REPS` reps to be asymmetrically slow on the journaled leg only.
+    // The last rep's reports are byte-compared.
+    let (mut r_off, mut r_on, mut journal_bytes) = (None, None, 0);
+    let mut off = |_| {
+        let o = ServeSession::new(cfg)
+            .clock(&bench_clock)
+            .run(out)
+            .expect("serve failed");
+        r_off = Some(o.report);
+        o.stats.critical_path_s
     };
-    let cfg = ServeConfig {
-        shards: 4,
-        epoch_hours: 48,
-        detect,
-        rotate_floor: 0,
+    let mut on = |_| {
+        let journal = Journal::create(Cursor::new(Vec::new())).expect("in-memory journal");
+        let mut plane = ChaosPlane::new(FaultSchedule::journal_only(42), journal);
+        let o = ServeSession::new(cfg)
+            .clock(&bench_clock)
+            .plane(&mut plane)
+            .run(out)
+            .expect("serve failed");
+        r_on = Some(o.report);
+        journal_bytes = plane.into_journal().len_bytes();
+        o.stats.critical_path_s
     };
-
-    let epoch = Instant::now();
-    let clock = move || epoch.elapsed().as_secs_f64();
-
-    // Each rep times all three variants back to back and the overhead
-    // is the *per-rep paired* ratio — adjacent legs see the same box
-    // conditions, so common-mode noise (CPU-quota throttling, a noisy
-    // neighbor) cancels instead of landing on whichever variant ran
-    // while the box was busy. The rep order rotates so no variant
-    // always gets the post-idle burst-credit slot, and the gate takes
-    // the minimum paired overhead across reps: a spurious failure
-    // would need every one of the `REPS` reps to be asymmetrically
-    // slow on the journaled leg only.
-    let mut reps: Vec<(f64, f64, f64)> = Vec::new(); // (off, on, strict) seconds
-    let mut last = None;
-    for rep in 0..REPS {
-        let mut off_s = 0.0;
-        let run_off = |off_s: &mut f64| {
-            let o = ServeSession::new(cfg)
-                .clock(&clock)
-                .run(&out)
-                .expect("serve failed");
-            *off_s = o.stats.critical_path_s;
-            o.report
-        };
-        let mut on_s = 0.0;
-        let run_on = |on_s: &mut f64| {
-            let journal =
-                Journal::create(Cursor::new(Vec::new())).expect("in-memory journal");
-            let mut plane = ChaosPlane::new(FaultSchedule::journal_only(42), journal);
-            let o = ServeSession::new(cfg)
-                .clock(&clock)
-                .plane(&mut plane)
-                .run(&out)
-                .expect("serve failed");
-            *on_s = o.stats.critical_path_s;
-            (o.report, plane.into_journal().len_bytes())
-        };
-        let mut strict_s = 0.0;
-        // Strict cadence: per-shard digests at every barrier — the
-        // upper bound on digest cost, reported but not gated.
-        let run_strict = |strict_s: &mut f64| {
-            let journal =
-                Journal::create(Cursor::new(Vec::new())).expect("in-memory journal");
-            let mut strict =
-                ChaosPlane::with_digest_cadence(FaultSchedule::journal_only(42), journal, 1);
-            let o = ServeSession::new(cfg)
-                .clock(&clock)
-                .plane(&mut strict)
-                .run(&out)
-                .expect("serve failed");
-            *strict_s = o.stats.critical_path_s;
-        };
-        let pair = match rep % 3 {
-            0 => {
-                let r_off = run_off(&mut off_s);
-                let on = run_on(&mut on_s);
-                run_strict(&mut strict_s);
-                (r_off, on)
-            }
-            1 => {
-                let on = run_on(&mut on_s);
-                run_strict(&mut strict_s);
-                let r_off = run_off(&mut off_s);
-                (r_off, on)
-            }
-            _ => {
-                run_strict(&mut strict_s);
-                let r_off = run_off(&mut off_s);
-                let on = run_on(&mut on_s);
-                (r_off, on)
-            }
-        };
-        reps.push((off_s, on_s, strict_s));
-        last = Some(pair);
-    }
-    let (r_off, (r_on, journal_bytes)) = last.expect("REPS >= 1");
-    let identical = serde_json::to_string(&r_off).expect("report serializes")
-        == serde_json::to_string(&r_on).expect("report serializes");
-    let paired = |pick: fn(&(f64, f64, f64)) -> f64| {
-        reps.iter()
-            .map(|r| ((pick(r) - r.0) / r.0 * 100.0).max(0.0))
-            .fold(f64::INFINITY, f64::min)
+    // Strict cadence: per-shard digests at every barrier — the upper
+    // bound on digest cost, reported but not gated.
+    let mut strict = |_| {
+        let journal = Journal::create(Cursor::new(Vec::new())).expect("in-memory journal");
+        let mut plane =
+            ChaosPlane::with_digest_cadence(FaultSchedule::journal_only(42), journal, 1);
+        ServeSession::new(cfg)
+            .clock(&bench_clock)
+            .plane(&mut plane)
+            .run(out)
+            .expect("serve failed")
+            .stats
+            .critical_path_s
     };
-    let overhead_pct = paired(|r| r.1);
-    let strict_overhead_pct = paired(|r| r.2);
-    let off_best = reps.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-    let on_best = reps.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
-    let strict_best = reps.iter().map(|r| r.2).fold(f64::INFINITY, f64::min);
+    let reps = rotated_reps(REPS, &mut [&mut off, &mut on, &mut strict]);
+    let identical = same_report(&r_off.expect("off leg ran"), &r_on.expect("on leg ran"));
+    let overhead_pct = reps.min_paired_overhead_pct(ON, OFF, OFF);
+    let strict_overhead_pct = reps.min_paired_overhead_pct(STRICT, OFF, OFF);
+    let (off_best, on_best, strict_best) = (reps.best(OFF), reps.best(ON), reps.best(STRICT));
     eprintln!(
         "  plain {:.1} ms | journaled {:.1} ms | overhead {overhead_pct:.2}% \
          (strict-digest {strict_overhead_pct:.2}%) | journal {journal_bytes} bytes | \
@@ -173,7 +110,7 @@ fn main() {
             kind: FaultSpecKind::Crash,
         }],
     };
-    let crash = run_chaos_in_memory(&out, &cfg, schedule, None).expect("chaos run failed");
+    let crash = run_chaos_in_memory(out, &cfg, schedule, None).expect("chaos run failed");
     let recovered_identical = crash.report.outcome == ChaosOutcome::Identical;
     eprintln!(
         "  crash smoke: epoch {CRASH_EPOCH} shard {CRASH_SHARD} | replayed {} epochs | \
@@ -202,9 +139,7 @@ fn main() {
         "crash_epochs_replayed": crash.report.epochs_replayed,
         "crash_recovered_identical": recovered_identical,
     });
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    println!("{json}");
+    write_report("BENCH_chaos.json", &report).expect("write BENCH_chaos.json");
     assert!(
         identical,
         "acceptance: journaled and plain runs must produce the same report"

@@ -3,79 +3,60 @@
 //!
 //! Replays the same adaptive stream through a clocked `ServeSession`
 //! without metrics and with them (full metric registry + per-shard
-//! counters + epoch spans), interleaved best-of-`REPS`, and compares the
-//! engine's
-//! parallel critical path. The acceptance gate: observability must cost
-//! under 5% — counters are plain integer adds on already-owned state, so
-//! anything above that signals an accidental allocation or lock on the
-//! hot path. Writes `BENCH_obs.json` at the workspace root.
+//! counters + epoch spans), interleaved in rotated order over `REPS`
+//! reps, and compares the best parallel critical path of each. The
+//! acceptance gate: observability must cost under 5% — counters are
+//! plain integer adds on already-owned state, so anything above that
+//! signals an accidental allocation or lock on the hot path. Writes `BENCH_obs.json` at the workspace root.
 //!
 //! Run with `cargo run --release -p sybil-bench --bin obs_overhead`.
 
-use osn_sim::stream::EventStream;
-use osn_sim::{simulate, SimConfig};
-use std::time::Instant;
-use sybil_core::realtime::RealtimeConfig;
-use sybil_core::ThresholdClassifier;
-use sybil_serve::{ServeConfig, ServeSession};
+use sybil_bench::{
+    adaptive_detect, announce, bench_clock, overhead_pct, rotated_reps, same_report, serve_config,
+    small_fixture, write_report,
+};
+use sybil_serve::ServeSession;
 
 const REPS: usize = 5;
+/// Leg indices for [`rotated_reps`].
+const OFF: usize = 0;
+const ON: usize = 1;
 
 fn main() {
-    let out = simulate(SimConfig::small(42));
-    let events = EventStream::new(&out.log).total_events();
-    eprintln!(
-        "obs_overhead: {} accounts, {} merged events",
-        out.accounts.len(),
-        events
-    );
-
+    let out = small_fixture();
+    let events = announce("obs_overhead", out);
     // Adaptive config: every instrumented path (checks, detections,
     // feature computation, feedback, audits) is live.
-    let detect = RealtimeConfig {
-        rule: ThresholdClassifier {
-            max_out_ratio: 0.5,
-            min_freq: 15.0,
-            max_cc: f64::INFINITY,
-        },
-        adaptive: true,
-        ..RealtimeConfig::default()
-    };
-    let cfg = ServeConfig {
-        shards: 4,
-        epoch_hours: 48,
-        detect,
-        rotate_floor: 0,
-    };
+    let cfg = serve_config(4, adaptive_detect());
 
-    let epoch = Instant::now();
-    let clock = move || epoch.elapsed().as_secs_f64();
-
-    // Interleave the two variants so drift (thermal, cache, scheduler)
-    // hits both equally; keep the best critical path per variant.
-    let mut off_best = f64::INFINITY;
-    let mut on_best = f64::INFINITY;
-    let mut reports = Vec::new();
-    for _ in 0..REPS {
-        let off = ServeSession::new(cfg)
-            .clock(&clock)
-            .run(&out)
+    // Order-rotated reps so drift (thermal, cache, scheduler) hits both
+    // variants equally; the gate compares the best critical path per
+    // variant. The last rep's reports are byte-compared.
+    let (mut r_off, mut r_on, mut snapshot) = (None, None, None);
+    let mut off = |_| {
+        let o = ServeSession::new(cfg)
+            .clock(&bench_clock)
+            .run(out)
             .expect("serve failed");
-        off_best = off_best.min(off.stats.critical_path_s);
+        r_off = Some(o.report);
+        o.stats.critical_path_s
+    };
+    let mut on = |_| {
         let mut reg = sybil_obs::Registry::new();
-        let on = ServeSession::new(cfg)
-            .clock(&clock)
+        let o = ServeSession::new(cfg)
+            .clock(&bench_clock)
             .metrics(&mut reg)
-            .run(&out)
+            .run(out)
             .expect("serve failed");
-        on_best = on_best.min(on.stats.critical_path_s);
-        reports.push((off.report, on.report, reg.snapshot()));
-    }
-    let (r_off, r_on, snapshot) = reports.pop().expect("REPS >= 1");
-    let identical = serde_json::to_string(&r_off).expect("report serializes")
-        == serde_json::to_string(&r_on).expect("report serializes");
-
-    let overhead_pct = ((on_best - off_best) / off_best * 100.0).max(0.0);
+        r_on = Some(o.report);
+        snapshot = Some(reg.snapshot());
+        o.stats.critical_path_s
+    };
+    let reps = rotated_reps(REPS, &mut [&mut off, &mut on]);
+    let identical = same_report(&r_off.expect("off leg ran"), &r_on.expect("on leg ran"));
+    let snapshot = snapshot.expect("on leg ran");
+    let (off_best, on_best) = (reps.best(OFF), reps.best(ON));
+    let overhead_pct = overhead_pct(on_best, off_best, off_best);
     eprintln!(
         "  off {:.1} ms | on {:.1} ms | overhead {overhead_pct:.2}% | identical={identical}",
         off_best * 1e3,
@@ -89,7 +70,7 @@ fn main() {
         "reps": REPS,
         "shards": 4,
         "timing": "critical_path (coordinator + slowest shard per epoch), best of reps, \
-                   off/on interleaved",
+                   off/on interleaved in rotated order",
         "off_critical_path_ms": off_best * 1e3,
         "on_critical_path_ms": on_best * 1e3,
         "overhead_pct": overhead_pct,
@@ -97,9 +78,7 @@ fn main() {
         "logical_metrics": snapshot.logical.len(),
         "sharded_metrics": snapshot.sharded.len(),
     });
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_obs.json", &json).expect("write BENCH_obs.json");
-    println!("{json}");
+    write_report("BENCH_obs.json", &report).expect("write BENCH_obs.json");
     assert!(
         identical,
         "acceptance: observed and unobserved runs must produce the same report"

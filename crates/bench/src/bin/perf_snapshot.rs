@@ -10,28 +10,14 @@
 //! Run with `cargo run --release -p sybil-bench --bin perf_snapshot`.
 
 use osn_graph::{clustering, par, CsrSnapshot, NodeId};
-use std::time::Instant;
+use sybil_bench::{set_threads, time_ms, write_report};
 use sybil_defense::{evaluate_defense, SybilLimit};
 use sybil_features::{clustering as fclustering, invitation, ratios, FeatureExtractor,
     FeatureVector};
 
-/// Best-of-`reps` wall-clock milliseconds for `f`, with the result of the
-/// last run returned for identity checks.
-fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let v = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        out = Some(v);
-    }
-    (best, out.unwrap())
-}
-
-fn set_threads(n: usize) {
-    std::env::set_var(par::THREADS_ENV, n.to_string());
-}
+/// The acceptance floor on both full-population sweeps' speedup over the
+/// serial graph path.
+const MIN_SPEEDUP: f64 = 2.0;
 
 /// The seed implementation of feature extraction: a serial per-node loop
 /// whose clustering term walks the `TemporalGraph` with O(k²) hash-probe
@@ -146,14 +132,12 @@ fn main() {
         "defense_walks": defense,
         "bit_identical": true,
     });
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
-    println!("{json}");
+    write_report("BENCH_parallel.json", &report).expect("write BENCH_parallel.json");
     eprintln!(
         "clustering sweep speedup {cc_speedup:.2}x, feature extraction speedup {feat_speedup:.2}x"
     );
     assert!(
-        cc_speedup >= 2.0 && feat_speedup >= 2.0,
+        cc_speedup >= MIN_SPEEDUP && feat_speedup >= MIN_SPEEDUP,
         "acceptance: >=2x speedup required (clustering {cc_speedup:.2}x, features {feat_speedup:.2}x)"
     );
 }

@@ -1,7 +1,8 @@
 //! Persistence acceptance bench: checkpoint-write overhead on the
 //! serving critical path, plus restart-to-first-verdict latency.
 //!
-//! Three legs per rep, order-rotated across `REPS` reps: the plain
+//! Three legs per rep, order-rotated across `REPS` reps by the shared
+//! [`rotated_reps`] harness: the plain
 //! clocked `ServeSession` (production path, no plane), a journal-only
 //! [`StorePlane`] (`checkpoint_every = 0`: every epoch write-ahead
 //! journaled to a real file, no checkpoints), and the full default
@@ -28,147 +29,88 @@
 //! Writes `BENCH_restart.json` at the working directory root. Run with
 //! `cargo run --release -p sybil-bench --bin restart_bench`.
 
-use osn_sim::stream::EventStream;
-use osn_sim::{simulate, SimConfig};
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
-use sybil_core::realtime::RealtimeConfig;
-use sybil_core::ThresholdClassifier;
+use sybil_bench::{
+    adaptive_detect, announce, bench_clock, rotated_reps, same_report, serve_config, small_fixture,
+    write_report,
+};
 use sybil_serve::fault::FaultKind;
-use sybil_serve::{ServeConfig, ServeError, ServeSession};
+use sybil_serve::{ServeError, ServeSession};
 use sybil_store::{StorePlane, DEFAULT_CHECKPOINT_EVERY};
 
 const REPS: usize = 9;
+/// Reps of the restart-vs-cold latency legs.
+const LATENCY_REPS: usize = 3;
+/// Leg indices for [`rotated_reps`].
+const OFF: usize = 0;
+const JRN: usize = 1;
+const ON: usize = 2;
+const RESTART: usize = 0;
+const COLD: usize = 1;
 
 fn main() {
-    let out = simulate(SimConfig::small(42));
-    let events = EventStream::new(&out.log).total_events();
-    eprintln!(
-        "restart_bench: {} accounts, {} merged events",
-        out.accounts.len(),
-        events
-    );
-
-    // Adaptive config: detections, feedback, and audits all live, so
-    // checkpoints carry every section and the journal every record kind.
-    let detect = RealtimeConfig {
-        rule: ThresholdClassifier {
-            max_out_ratio: 0.5,
-            min_freq: 15.0,
-            max_cc: f64::INFINITY,
-        },
-        adaptive: true,
-        ..RealtimeConfig::default()
-    };
-    let cfg = ServeConfig {
-        shards: 4,
-        epoch_hours: 48,
-        detect,
-        rotate_floor: 0,
-    };
+    let out = small_fixture();
+    let events = announce("restart_bench", out);
+    let cfg = serve_config(4, adaptive_detect());
 
     let base = std::env::temp_dir().join(format!("sybil-restart-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    let epoch = Instant::now();
-    let clock = move || epoch.elapsed().as_secs_f64();
-
-    // Plain leg: the production path, no plane. Returns the critical
-    // path and the oracle report.
-    let run_plain = || {
-        let o = ServeSession::new(cfg)
-            .clock(&clock)
-            .run(&out)
-            .expect("serve failed");
-        (o.stats.critical_path_s, o.report)
-    };
     // Persisted leg at an explicit checkpoint cadence (0 = journal
     // only). A cleared directory per run: the leg must pay for every
     // journal append and checkpoint, never warm-restart past the work.
-    let run_plane = |dir: &PathBuf, every: u64| {
+    let run_plane = |dir: &Path, every: u64| {
         let _ = std::fs::remove_dir_all(dir);
-        let mut plane =
-            StorePlane::with_cadence(dir, every).expect("store opens");
+        let mut plane = StorePlane::with_cadence(dir, every).expect("store opens");
         let o = ServeSession::new(cfg)
-            .clock(&clock)
+            .clock(&bench_clock)
             .store(&mut plane)
-            .run(&out)
+            .run(out)
             .expect("serve failed");
-        (
-            o.stats.critical_path_s,
-            o.report,
-            plane.journal().len_bytes(),
-        )
+        (o, plane.journal().len_bytes())
     };
 
-    // Order-rotated reps: adjacent legs see the same box conditions, so
-    // common-mode noise cancels in the paired ratios; the rotation keeps
-    // the post-idle slot from always favoring one leg; the gate takes
-    // the minimum paired overhead across reps. The checkpoint gate pairs
-    // the default plane against the journal-only plane — both do
-    // identical journal work, so the delta is the checkpoint writes.
-    let mut reps: Vec<(f64, f64, f64)> = Vec::new(); // (off, jrn, on) seconds
-    let mut last = None;
-    for rep in 0..REPS {
-        let dir_j = base.join(format!("rep{rep}-jrn"));
-        let dir_c = base.join(format!("rep{rep}-ckpt"));
-        let (mut off, mut jrn, mut on) = ((0.0, None), (0.0, None), (0.0, None));
-        let mut do_off = || {
-            let (s, r) = run_plain();
-            off = (s, Some(r));
-        };
-        let mut do_jrn = || {
-            let (s, r, b) = run_plane(&dir_j, 0);
-            jrn = (s, Some((r, b)));
-        };
-        let mut do_on = || {
-            let (s, r, b) = run_plane(&dir_c, DEFAULT_CHECKPOINT_EVERY);
-            on = (s, Some((r, b)));
-        };
-        match rep % 3 {
-            0 => {
-                do_off();
-                do_jrn();
-                do_on();
-            }
-            1 => {
-                do_jrn();
-                do_on();
-                do_off();
-            }
-            _ => {
-                do_on();
-                do_off();
-                do_jrn();
-            }
-        }
-        reps.push((off.0, jrn.0, on.0));
-        last = Some((
-            off.1.expect("off leg ran"),
-            jrn.1.expect("jrn leg ran"),
-            on.1.expect("on leg ran"),
-        ));
-    }
-    let (r_off, (r_jrn, _), (r_on, journal_bytes)) = last.expect("REPS >= 1");
-    let oracle_json = serde_json::to_string(&r_off).expect("report serializes");
-    let identical = oracle_json == serde_json::to_string(&r_jrn).expect("report serializes")
-        && oracle_json == serde_json::to_string(&r_on).expect("report serializes");
+    // Order-rotated paired reps (see `rotated_reps`); the gate takes the
+    // minimum paired overhead across reps. The checkpoint gate pairs the
+    // default plane against the journal-only plane — both do identical
+    // journal work, so the delta is the checkpoint writes. The last
+    // rep's reports are byte-compared.
+    let (mut r_off, mut r_jrn, mut r_on, mut journal_bytes) = (None, None, None, 0);
+    let mut off = |_| {
+        let o = ServeSession::new(cfg)
+            .clock(&bench_clock)
+            .run(out)
+            .expect("serve failed");
+        r_off = Some(o.report);
+        o.stats.critical_path_s
+    };
+    let mut jrn = |rep: usize| {
+        let (o, _) = run_plane(&base.join(format!("rep{rep}-jrn")), 0);
+        r_jrn = Some(o.report);
+        o.stats.critical_path_s
+    };
+    let mut on = |rep: usize| {
+        let (o, bytes) = run_plane(
+            &base.join(format!("rep{rep}-ckpt")),
+            DEFAULT_CHECKPOINT_EVERY,
+        );
+        r_on = Some(o.report);
+        journal_bytes = bytes;
+        o.stats.critical_path_s
+    };
+    let reps = rotated_reps(REPS, &mut [&mut off, &mut jrn, &mut on]);
+    let r_off = r_off.expect("off leg ran");
+    let identical = same_report(&r_off, &r_jrn.expect("jrn leg ran"))
+        && same_report(&r_off, &r_on.expect("on leg ran"));
     // The gated number: checkpoint writes alone, as a fraction of the
     // fault-free critical path.
-    let overhead_pct = reps
-        .iter()
-        .map(|(off, jrn, on)| ((on - jrn) / off * 100.0).max(0.0))
-        .fold(f64::INFINITY, f64::min);
+    let overhead_pct = reps.min_paired_overhead_pct(ON, JRN, OFF);
     // Reported, not gated here: what file journaling itself costs.
     // chaos_bench gates the journaling protocol (<5%) against its
     // in-memory journal; this is the same protocol on a real file.
-    let journal_overhead_pct = reps
-        .iter()
-        .map(|(off, jrn, _)| ((jrn - off) / off * 100.0).max(0.0))
-        .fold(f64::INFINITY, f64::min);
-    let off_best = reps.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-    let jrn_best = reps.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
-    let on_best = reps.iter().map(|r| r.2).fold(f64::INFINITY, f64::min);
+    let journal_overhead_pct = reps.min_paired_overhead_pct(JRN, OFF, OFF);
+    let (off_best, jrn_best, on_best) = (reps.best(OFF), reps.best(JRN), reps.best(ON));
 
     // Checkpoint inventory from the last rep's default-cadence directory.
     let plane =
@@ -199,56 +141,47 @@ fn main() {
     // time the whole road back — opening the store, loading the newest
     // checkpoint, replaying the committed journal tail, serving the
     // short live remainder to the final report. Compare against the
-    // cold full replay a storeless deployment would need. Three reps
-    // with alternating leg order, best-of per leg: a single fixed-order
-    // timing flips under transient box load, and the killed state is
-    // re-created per rep because a *finished* journal replays a
+    // cold full replay a storeless deployment would need. Order-rotated
+    // reps, best-of per leg: a single fixed-order timing flips under
+    // transient box load. The restart leg re-creates the killed state
+    // (untimed) every rep, because a *finished* journal replays a
     // different (cheaper) path than a mid-run one.
     let kill_epoch = total_epochs.saturating_sub(2);
     let dir = base.join("kill");
-    let mut restart_s = f64::INFINITY;
-    let mut cold_s = f64::INFINITY;
-    let mut restart_identical = true;
-    let mut resumed_from = None;
-    let mut tail_replayed = 0;
-    for rep in 0..3 {
+    let (mut restarted, mut colds) = (Vec::new(), Vec::new());
+    let (mut resumed_from, mut tail_replayed) = (None, 0);
+    let mut restart = |_| {
         let _ = std::fs::remove_dir_all(&dir);
         let mut doomed = StorePlane::open(&dir)
             .expect("store opens")
             .kill_at_epoch(kill_epoch);
-        match ServeSession::new(cfg).store(&mut doomed).run(&out) {
+        match ServeSession::new(cfg).store(&mut doomed).run(out) {
             Err(ServeError::Chaos(c)) => assert_eq!(c.fault_kind, FaultKind::Crash),
             other => panic!("expected the armed kill to fire, got {other:?}"),
         }
         drop(doomed);
-        let mut run_restart = || {
-            let t = Instant::now();
-            let mut revived = StorePlane::open(&dir).expect("store reopens");
-            let outcome = ServeSession::new(cfg)
-                .store(&mut revived)
-                .run(&out)
-                .expect("warm restart completes");
-            restart_s = restart_s.min(t.elapsed().as_secs_f64());
-            resumed_from = revived.resumed_from();
-            tail_replayed = revived.tail_replayed();
-            outcome
-        };
-        let mut run_cold = || {
-            let t = Instant::now();
-            let cold = ServeSession::new(cfg).run(&out).expect("cold replay");
-            cold_s = cold_s.min(t.elapsed().as_secs_f64());
-            cold
-        };
-        let (restarted, cold) = if rep % 2 == 0 {
-            let r = run_restart();
-            (r, run_cold())
-        } else {
-            let c = run_cold();
-            (run_restart(), c)
-        };
-        restart_identical &= serde_json::to_string(&restarted.report).expect("serializes")
-            == serde_json::to_string(&cold.report).expect("serializes");
-    }
+        let t = Instant::now();
+        let mut revived = StorePlane::open(&dir).expect("store reopens");
+        let outcome = ServeSession::new(cfg)
+            .store(&mut revived)
+            .run(out)
+            .expect("warm restart completes");
+        let s = t.elapsed().as_secs_f64();
+        resumed_from = revived.resumed_from();
+        tail_replayed = revived.tail_replayed();
+        restarted.push(outcome.report);
+        s
+    };
+    let mut cold = |_| {
+        let t = Instant::now();
+        let cold = ServeSession::new(cfg).run(out).expect("cold replay");
+        let s = t.elapsed().as_secs_f64();
+        colds.push(cold.report);
+        s
+    };
+    let latency = rotated_reps(LATENCY_REPS, &mut [&mut restart, &mut cold]);
+    let (restart_s, cold_s) = (latency.best(RESTART), latency.best(COLD));
+    let restart_identical = restarted.iter().zip(&colds).all(|(r, c)| same_report(r, c));
     eprintln!(
         "  restart smoke: killed at epoch {kill_epoch}/{total_epochs} | resumed from \
          {resumed_from:?} (+{tail_replayed} journal epochs) | restart {:.1} ms vs cold \
@@ -286,9 +219,7 @@ fn main() {
         "cold_replay_ms": cold_s * 1e3,
         "restart_identical": restart_identical,
     });
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_restart.json", &json).expect("write BENCH_restart.json");
-    println!("{json}");
+    write_report("BENCH_restart.json", &report).expect("write BENCH_restart.json");
     let _ = std::fs::remove_dir_all(&base);
     assert!(
         identical,

@@ -22,9 +22,9 @@
 use osn_sim::scale::{generate, ScaleConfig};
 use osn_sim::stream::PullStream;
 use std::time::Instant;
+use sybil_bench::{best_serve, same_report, serve_config, write_report};
 use sybil_core::realtime::{replay, RealtimeConfig};
 use sybil_core::ThresholdClassifier;
-use sybil_serve::{ServeConfig, ServeSession, ServeStats};
 
 /// Peak resident set size of this process so far, in bytes (Linux VmHWM).
 fn peak_rss_bytes() -> u64 {
@@ -89,42 +89,19 @@ fn main() {
         let t0 = Instant::now();
         let seq_report = replay(&out, &detect);
         let replay_s = t0.elapsed().as_secs_f64();
-        let seq_json = serde_json::to_string(&seq_report).expect("report serializes");
         eprintln!(
             "  replay: {replay_s:.1}s, {} detections",
             seq_report.detections.len()
         );
 
-        let epoch = Instant::now();
-        let clock = move || epoch.elapsed().as_secs_f64();
         let shard_counts: &[usize] = if accounts > 200_000 { &[1, 8] } else { &[1, 2, 8] };
         let mut legs = Vec::new();
         let mut row_identical = true;
         for &shards in shard_counts {
-            let cfg = ServeConfig {
-                shards,
-                epoch_hours: 48,
-                detect,
-                rotate_floor: 0,
-            };
-            let mut best: Option<ServeStats> = None;
-            let mut report = None;
-            for _ in 0..reps {
-                let o = ServeSession::new(cfg)
-                    .clock(&clock)
-                    .run(&out)
-                    .expect("serve failed");
-                let (r, stats) = (o.report, o.stats);
-                if best
-                    .as_ref()
-                    .is_none_or(|b| stats.critical_path_s < b.critical_path_s)
-                {
-                    best = Some(stats);
-                }
-                report = Some(r);
-            }
-            let (report, best) = (report.expect("reps >= 1"), best.expect("reps >= 1"));
-            let identical = serde_json::to_string(&report).expect("serializes") == seq_json;
+            let served =
+                best_serve(&out, serve_config(shards, detect), reps).expect("serve failed");
+            let identical = same_report(&served.report, &seq_report);
+            let best = served.stats;
             row_identical &= identical;
             let eps = events as f64 / best.critical_path_s;
             // Aggregate scan rate: every shard scans every event (that is
@@ -197,8 +174,6 @@ fn main() {
         "rows": rows,
         "bit_identical": all_identical,
     });
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
-    println!("{json}");
+    write_report("BENCH_scale.json", &report).expect("write BENCH_scale.json");
     assert!(all_identical, "acceptance: all serve reports must match replay");
 }

@@ -17,26 +17,11 @@
 //!
 //! Run with `cargo run --release -p sybil-bench --bin serve_throughput`.
 
-use osn_sim::stream::EventStream;
 use osn_sim::{simulate, SimConfig, SimOutput};
-use std::time::Instant;
-use sybil_core::realtime::{replay, RealtimeConfig};
-use sybil_core::ThresholdClassifier;
-use sybil_serve::{ServeConfig, ServeSession, ServeStats};
-
-/// Best-of-`reps` wall-clock milliseconds for `f`, returning the last
-/// result for identity checks.
-fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let v = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        out = Some(v);
-    }
-    (best, out.unwrap())
-}
+use sybil_bench::{
+    adaptive_detect, announce, best_serve, same_report, serve_config, time_ms, write_report,
+};
+use sybil_core::realtime::replay;
 
 /// A stream big enough for the ≥200k-event acceptance floor; the small
 /// fixture's log falls short, so this scales the population up.
@@ -52,12 +37,7 @@ fn fixture() -> SimOutput {
 fn main() {
     let reps = 3;
     let out = fixture();
-    let events = EventStream::new(&out.log).total_events();
-    eprintln!(
-        "serve_throughput: {} accounts, {} merged events",
-        out.accounts.len(),
-        events
-    );
+    let events = announce("serve_throughput", &out);
     assert!(
         events >= 200_000,
         "acceptance: need a >=200k-event log, fixture produced {events}"
@@ -65,53 +45,18 @@ fn main() {
 
     // An adaptive config exercises every engine path: checks, feedback
     // redistribution at barriers, audits, and snapshot rotation.
-    let detect = RealtimeConfig {
-        rule: ThresholdClassifier {
-            max_out_ratio: 0.5,
-            min_freq: 15.0,
-            max_cc: f64::INFINITY,
-        },
-        adaptive: true,
-        ..RealtimeConfig::default()
-    };
-
+    let detect = adaptive_detect();
     let (seq_ms, seq_report) = time_ms(reps, || replay(&out, &detect));
-    let seq_json = serde_json::to_string(&seq_report).expect("report serializes");
 
-    let epoch = Instant::now();
-    let clock = move || epoch.elapsed().as_secs_f64();
     let mut legs = Vec::new();
     let mut all_identical = true;
     for shards in [1usize, 2, 4, 8] {
-        let cfg = ServeConfig {
-            shards,
-            epoch_hours: 48,
-            detect,
-            rotate_floor: 0,
-        };
-        let mut best_path: Option<ServeStats> = None;
-        let mut report = None;
-        for _ in 0..reps {
-            let o = ServeSession::new(cfg)
-                .clock(&clock)
-                .run(&out)
-                .expect("serve failed");
-            let (r, stats) = (o.report, o.stats);
-            if best_path
-                .as_ref()
-                .is_none_or(|b| stats.critical_path_s < b.critical_path_s)
-            {
-                best_path = Some(stats);
-            }
-            report = Some(r);
-        }
-        let (report, best_path) = (report.expect("reps >= 1"), best_path.expect("reps >= 1"));
-        let json = serde_json::to_string(&report).expect("report serializes");
-        let identical = json == seq_json;
+        let best = best_serve(&out, serve_config(shards, detect), reps).expect("serve failed");
+        let identical = same_report(&best.report, &seq_report);
         all_identical &= identical;
-        let path_ms = best_path.critical_path_s * 1e3;
-        let wall_ms = best_path.wall_s * 1e3;
-        let eps = events as f64 / best_path.critical_path_s;
+        let path_ms = best.stats.critical_path_s * 1e3;
+        let wall_ms = best.stats.wall_s * 1e3;
+        let eps = events as f64 / best.stats.critical_path_s;
         eprintln!(
             "  {shards} shard(s): path {path_ms:>8.1} ms (wall {wall_ms:>8.1} ms)  \
              {eps:>10.0} events/s  identical={identical}"
@@ -140,9 +85,7 @@ fn main() {
         "speedup_8v1": speedup_8v1,
         "bit_identical": all_identical,
     });
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("{json}");
+    write_report("BENCH_serve.json", &report).expect("write BENCH_serve.json");
     eprintln!("8-shard vs 1-shard speedup {speedup_8v1:.2}x");
     assert!(all_identical, "acceptance: all reports must be byte-identical");
     assert!(

@@ -9,11 +9,12 @@
 //!
 //! Run with `cargo run --release -p sybil-bench --bin thread_identity`.
 
-use osn_graph::{clustering, par, NodeId};
+use osn_graph::{clustering, NodeId};
+use sybil_bench::set_threads;
 use sybil_features::{clustering as fclustering, FeatureExtractor, FeatureVector};
 
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    std::env::set_var(par::THREADS_ENV, n.to_string());
+    set_threads(n);
     f()
 }
 

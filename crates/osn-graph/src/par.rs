@@ -5,14 +5,15 @@
 //! like `(0..len).map(f).collect()` with a pure `f`. This module runs that
 //! shape across threads while keeping the output **bit-identical** to the
 //! serial loop: the index range is split into contiguous chunks, each
-//! worker computes its chunk in index order, and the collector reassembles
-//! chunks by position. No reduction reassociation, no work stealing — so
-//! floating-point results cannot differ from the serial path.
+//! worker computes its chunk in index order, and the caller joins the
+//! workers in spawn order, concatenating their chunks by position. No
+//! reduction reassociation, no work stealing — so floating-point results
+//! cannot differ from the serial path.
 //!
 //! Thread count comes from the `RENREN_THREADS` environment variable when
 //! set (any value ≥ 1), otherwise from `std::thread::available_parallelism`.
 //! With one thread (or one-element inputs) everything runs inline on the
-//! calling thread with zero spawn/channel overhead.
+//! calling thread with zero spawn overhead.
 
 use std::thread;
 
@@ -60,34 +61,31 @@ where
     }
 
     let chunk = len.div_ceil(threads);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Vec<T>)>();
+    let (init, f) = (&init, &f);
     thread::scope(|scope| {
-        for (ci, start) in (0..len).step_by(chunk).enumerate() {
-            let end = (start + chunk).min(len);
-            let tx = tx.clone();
-            let init = &init;
-            let f = &f;
-            scope.spawn(move || {
-                let mut scratch = init();
-                let vals: Vec<T> = (start..end).map(|i| f(&mut scratch, i)).collect();
-                // The receiver outlives the scope; a send can only fail if
-                // the collector below was dropped, which cannot happen.
-                let _ = tx.send((ci, vals));
-            });
-        }
-    });
-    drop(tx);
+        let workers: Vec<_> = (0..len)
+            .step_by(chunk)
+            .map(|start| {
+                let end = (start + chunk).min(len);
+                scope.spawn(move || {
+                    let mut scratch = init();
+                    (start..end).map(|i| f(&mut scratch, i)).collect::<Vec<T>>()
+                })
+            })
+            .collect();
+        join_in_order(workers, len)
+    })
+}
 
-    let chunks_total = len.div_ceil(chunk);
-    let mut parts: Vec<Option<Vec<T>>> = std::iter::repeat_with(|| None)
-        .take(chunks_total)
-        .collect();
-    for (ci, vals) in rx.iter() {
-        parts[ci] = Some(vals);
-    }
+/// Concatenate worker chunks in spawn order — which is index order — and
+/// re-raise a worker's panic on the calling thread with its own payload.
+fn join_in_order<T>(workers: Vec<thread::ScopedJoinHandle<'_, Vec<T>>>, len: usize) -> Vec<T> {
     let mut out = Vec::with_capacity(len);
-    for part in parts {
-        out.extend(part.expect("worker chunk missing"));
+    for worker in workers {
+        match worker.join() {
+            Ok(vals) => out.extend(vals),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     }
     out
 }
@@ -124,33 +122,14 @@ where
         chunks.push(part);
     }
 
-    let chunks_total = chunks.len();
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Vec<U>)>();
+    let f = &f;
     thread::scope(|scope| {
-        for (ci, part) in chunks.into_iter().enumerate() {
-            let tx = tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                let vals: Vec<U> = part.into_iter().map(f).collect();
-                // The receiver outlives the scope; a send can only fail if
-                // the collector below was dropped, which cannot happen.
-                let _ = tx.send((ci, vals));
-            });
-        }
-    });
-    drop(tx);
-
-    let mut parts: Vec<Option<Vec<U>>> = std::iter::repeat_with(|| None)
-        .take(chunks_total)
-        .collect();
-    for (ci, vals) in rx.iter() {
-        parts[ci] = Some(vals);
-    }
-    let mut out = Vec::with_capacity(len);
-    for part in parts {
-        out.extend(part.expect("worker chunk missing"));
-    }
-    out
+        let workers: Vec<_> = chunks
+            .into_iter()
+            .map(|part| scope.spawn(move || part.into_iter().map(f).collect::<Vec<U>>()))
+            .collect();
+        join_in_order(workers, len)
+    })
 }
 
 /// `items.iter().map(f).collect()` across threads, order-preserving.
@@ -243,6 +222,20 @@ mod tests {
         }
         with_threads_env(Some("4"), || {
             assert_eq!(map_owned(Vec::<u8>::new(), |b| b), Vec::<u8>::new());
+        });
+    }
+
+    #[test]
+    fn worker_panic_reraises_its_payload() {
+        with_threads_env(Some("4"), || {
+            let caught = std::panic::catch_unwind(|| {
+                map_indexed(8, |i| if i == 5 { panic!("chunk-{i}") } else { i })
+            });
+            let payload = caught.expect_err("worker panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("chunk-5")
+            );
         });
     }
 

@@ -61,6 +61,7 @@ impl std::fmt::Display for RestartError {
                     IoOp::CreateDir => "creating",
                     IoOp::List => "listing",
                     IoOp::Truncate => "truncating",
+                    IoOp::Lock => "locking",
                 };
                 write!(f, "store IO failed while {verb} ({kind:?})")
             }

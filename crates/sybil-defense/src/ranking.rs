@@ -11,8 +11,8 @@
 
 use crate::common::{SybilDefense, Verdict};
 use osn_graph::{NodeId, TemporalGraph};
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::{Mutex, PoisonError};
 
 /// Conductance-sweep community detector.
 pub struct ConductanceRanking {
@@ -114,7 +114,9 @@ impl ConductanceRanking {
     }
 
     fn community_for(&self, g: &TemporalGraph, verifier: NodeId) -> HashSet<NodeId> {
-        let mut cache = self.cache.lock();
+        // A panic mid-compute leaves the cache as it was (it is replaced by
+        // one assignment below), so a poisoned guard still holds valid data.
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some((v, c)) = cache.as_ref() {
             if *v == verifier {
                 return c.clone();

@@ -18,9 +18,9 @@
 use crate::common::{SybilDefense, Verdict};
 use osn_graph::walks;
 use osn_graph::{NodeId, TemporalGraph};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, PoisonError};
 
 /// SybilInfer-style verifier.
 pub struct SybilInfer {
@@ -79,7 +79,9 @@ impl SybilInfer {
     }
 
     fn profile_for(&self, g: &TemporalGraph, verifier: NodeId) -> Vec<f64> {
-        let mut cache = self.cache.lock();
+        // A panic mid-compute leaves the cache as it was (it is replaced by
+        // one assignment below), so a poisoned guard still holds valid data.
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some((v, profile)) = cache.as_ref() {
             if *v == verifier {
                 return profile.clone();

@@ -459,9 +459,9 @@ pub(crate) fn serve_inner<P: FaultPlane>(
 }
 
 /// Re-run one journaled epoch on every shard during a warm restart: the
-/// same inputs, merge keys, and fold order as the live barrier, so the
-/// restored session reaches state byte-identical to the run that wrote
-/// the journal. Obs tallies fold into `totals` exactly as live (shard
+/// same inputs, parallel shard map, merge keys, and fold order as the
+/// live barrier, so the restored session reaches state byte-identical to
+/// the run that wrote the journal. Obs tallies fold into `totals` exactly as live (shard
 /// 0's feedback count only); per-shard registry metrics are *not*
 /// replayed — a restarted process reports its own work, and the
 /// byte-identity contract is on the [`DeploymentReport`]. Each shard's
@@ -472,7 +472,7 @@ fn replay_tail_epoch<P: FaultPlane>(
     plane: &mut P,
     rec: &EpochRecord,
     out: &SimOutput,
-    shards: &mut [ShardState],
+    shards: &mut Vec<ShardState>,
     mirror: &mut GraphMirror,
     tagged: &mut Vec<TaggedDetection>,
     carry_feedback: &mut Vec<TaggedFeedback>,
@@ -483,28 +483,34 @@ fn replay_tail_epoch<P: FaultPlane>(
     totals.events_processed += rec.events.len() as u64;
     let mut epoch_dets: Vec<TaggedDetection> = Vec::new();
     let mut epoch_fb: Vec<TaggedFeedback> = Vec::new();
-    for s in shards.iter_mut() {
+    // Shards replay in parallel exactly as the live epoch ran them; the
+    // fold below walks the results in shard order, so the first failing
+    // shard's error is the one a serial replay would have returned.
+    let view: &GraphMirror = mirror;
+    let replayed = par::map_owned(std::mem::take(shards), |mut s| {
+        let eout = s.run_epoch(
+            &rec.events,
+            &rec.details,
+            out,
+            &feed,
+            view,
+            &eidx,
+            rec.epoch,
+            None,
+        );
+        (s, eout)
+    });
+    for (mut s, eout) in replayed {
         let sid = s.id();
-        let eout = s
-            .run_epoch(
-                &rec.events,
-                &rec.details,
-                out,
-                &feed,
-                mirror,
-                &eidx,
-                rec.epoch,
-                None,
-            )
-            .map_err(|_| {
-                // The original epoch ran inside its invariant bounds; a
-                // replay that overflows them has diverged.
-                ServeError::Chaos(ChaosError {
-                    epoch: rec.epoch,
-                    shard: Some(sid),
-                    fault_kind: FaultKind::ReplayDivergence,
-                })
-            })?;
+        let eout = eout.map_err(|_| {
+            // The original epoch ran inside its invariant bounds; a
+            // replay that overflows them has diverged.
+            ServeError::Chaos(ChaosError {
+                epoch: rec.epoch,
+                shard: Some(sid),
+                fault_kind: FaultKind::ReplayDivergence,
+            })
+        })?;
         let sobs = std::mem::take(&mut s.obs);
         totals.checks_run += sobs.checks_run;
         totals.detections += sobs.detections;
@@ -524,6 +530,7 @@ fn replay_tail_epoch<P: FaultPlane>(
         }
         epoch_dets.extend(eout.detections.into_items());
         epoch_fb.extend(eout.feedback.into_items());
+        shards.push(s);
     }
     epoch_dets.sort_by_key(|d| (d.detection.at, d.seq));
     tagged.extend(epoch_dets);

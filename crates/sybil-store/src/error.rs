@@ -25,6 +25,8 @@ pub enum IoOp {
     List,
     /// Truncating a journal to its last whole frame.
     Truncate,
+    /// Opening or locking the store's `store.lock` file.
+    Lock,
 }
 
 impl std::fmt::Display for IoOp {
@@ -37,6 +39,7 @@ impl std::fmt::Display for IoOp {
             IoOp::CreateDir => "create-dir",
             IoOp::List => "list",
             IoOp::Truncate => "truncate",
+            IoOp::Lock => "lock",
         };
         f.write_str(s)
     }
@@ -99,6 +102,9 @@ pub enum StoreError {
         /// Epoch of the failed journal operation.
         epoch: u64,
     },
+    /// Another live [`StorePlane`](crate::StorePlane) — in this process
+    /// or another — holds the store directory's single-writer lock.
+    Locked,
 }
 
 impl std::fmt::Display for StoreError {
@@ -130,6 +136,7 @@ impl std::fmt::Display for StoreError {
             StoreError::Journal { epoch } => {
                 write!(f, "write-ahead journal failed at epoch {epoch}")
             }
+            StoreError::Locked => f.write_str("store directory is locked by another writer"),
         }
     }
 }

@@ -45,7 +45,7 @@
 use crate::error::{IoOp, StoreError};
 use osn_graph::{NodeId, Timestamp};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use sybil_chaos::journal::{self, Journal, JournalError};
@@ -402,8 +402,27 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> 
     std::fs::rename(&tmp, path).map_err(io_err(IoOp::Rename))
 }
 
+/// Take the single-writer lock on the store at `dir`: an exclusive
+/// advisory lock (`flock` on Linux) on the empty `store.lock` file,
+/// held for as long as the returned handle lives. The OS releases it
+/// when the process dies, so a killed writer never strands the store.
+pub(crate) fn lock_dir(dir: &Path) -> Result<File, StoreError> {
+    let file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(dir.join("store.lock"))
+        .map_err(io_err(IoOp::Lock))?;
+    match file.try_lock() {
+        Ok(()) => Ok(file),
+        Err(TryLockError::WouldBlock) => Err(StoreError::Locked),
+        Err(TryLockError::Error(e)) => Err(io_err(IoOp::Lock)(e)),
+    }
+}
+
 /// Checkpoint files in `dir` as `(epochs, path)`, ascending by epoch.
-/// Non-checkpoint names (the journal, temporaries) are skipped.
+/// Non-checkpoint names (the journal, the lock file, temporaries) are
+/// skipped.
 pub(crate) fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
     let mut out = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(io_err(IoOp::List))?;

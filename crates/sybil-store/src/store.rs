@@ -9,6 +9,7 @@
 //!   checkpoint-00000004.sybs   # session state after 4 completed epochs
 //!   checkpoint-00000008.sybs
 //!   journal.sybj               # write-ahead epoch journal (SYBJ frames)
+//!   store.lock                 # empty; flock'd by the one live StorePlane
 //! ```
 //!
 //! [`SnapshotStore::latest`] walks checkpoints newest-first and skips any
@@ -26,6 +27,12 @@
 //! it is not replayed — the engine re-runs it live from the stream, which
 //! produces the identical bytes (the begin record exists precisely so
 //! crash replay inside an epoch stays possible for shard faults).
+//!
+//! One store has one writer: [`StorePlane`] holds an exclusive lock on
+//! `store.lock` for its lifetime, and a second plane over the same
+//! directory fails with [`StoreError::Locked`] instead of interleaving
+//! journal frames. The OS drops the lock when the holder dies, so a
+//! killed process never blocks its own restart.
 //!
 //! The `kill_at_epoch` knob simulates the process dying at an epoch
 //! boundary: the write-ahead record lands, then the hook returns a typed
@@ -124,6 +131,8 @@ impl SnapshotStore {
 /// warm restart, all through the hooks the coordinator already consults.
 pub struct StorePlane {
     store: SnapshotStore,
+    /// The held single-writer lock; released on drop.
+    _lock: File,
     journal: Journal<File>,
     checkpoint_every: u64,
     kill_at: Option<u64>,
@@ -142,16 +151,19 @@ impl StorePlane {
 
     /// [`open`](Self::open) with a checkpoint every `checkpoint_every`
     /// epochs (0 = never). Journal commits carry per-shard digests every
-    /// [`DEFAULT_DIGEST_CADENCE`] epochs, as the chaos plane's do.
+    /// [`DEFAULT_DIGEST_CADENCE`] epochs, as the chaos plane's do. Fails
+    /// with [`StoreError::Locked`] while another plane holds `dir`.
     pub fn with_cadence(
         dir: impl Into<PathBuf>,
         checkpoint_every: u64,
     ) -> Result<Self, StoreError> {
         let store = SnapshotStore::open(dir)?;
+        let lock = format::lock_dir(store.dir())?;
         let journal = format::open_or_create_journal(&store.journal_path())?;
         let finished_at_open = journal.finished().map(|(epochs, _)| epochs);
         Ok(StorePlane {
             store,
+            _lock: lock,
             journal,
             checkpoint_every,
             kill_at: None,
@@ -414,6 +426,22 @@ mod tests {
         assert_eq!(resume.checkpoint.epochs, 1);
         assert_eq!(resume.tail.len(), 1, "only epoch 1 is committed");
         assert_eq!(resume.tail[0].epoch, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn second_writer_is_locked_out_until_the_first_drops() {
+        let dir = tmpdir("lock");
+        let first = StorePlane::open(&dir).unwrap();
+        assert_eq!(StorePlane::open(&dir).err(), Some(StoreError::Locked));
+        assert_eq!(
+            StorePlane::with_cadence(&dir, 1).err(),
+            Some(StoreError::Locked)
+        );
+        drop(first);
+        let reopened = StorePlane::open(&dir).unwrap();
+        assert_eq!(std::fs::metadata(dir.join("store.lock")).unwrap().len(), 0);
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

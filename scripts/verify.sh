@@ -2,14 +2,17 @@
 # Repo verification: the tier-1 gate from ROADMAP.md plus a zero-warning
 # clippy pass, the sybil-lint semantic audit (with its <5s runtime
 # budget, --fix-allowlist byte-identity, and SARIF-catalog snapshot
-# gates), the thread-count
-# bit-identity smoke test (the sanitizer stand-in — see DESIGN.md), the
-# parallel-substrate bench-regression guard, the serving-engine
-# serve-vs-replay equivalence smoke, the metrics bit-identity guard
-# (logical section of metrics.json across threads × shards), the
-# observability overhead gate (<5% on the serving critical path), and
-# the persistence gates (kill + warm-restart byte-identity drill,
-# checkpoint overhead <5%, warm restart beating cold replay).
+# gates), the thread-count bit-identity smoke test (the sanitizer
+# stand-in — see DESIGN.md), the serving-engine serve-vs-replay
+# equivalence smoke, the metrics bit-identity guard (logical section of
+# metrics.json across threads × shards), the release test suites, the
+# kill + warm-restart drill, and the acceptance-bench bins.
+#
+# Each acceptance-bench bin (perf_snapshot, scale_sweep --smoke,
+# obs_overhead, chaos_bench, restart_bench) asserts its own gates — the
+# bound lives once, in the bin — and a failed gate exits nonzero, which
+# fails this script. Only the committed BENCH_scale.json 5M row, which
+# no step here rewrites, is checked from JSON.
 # Run from the workspace root: ./scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -92,22 +95,12 @@ echo "== sanitizer stand-in: RENREN_THREADS=1 vs 8 bit-identity =="
 cargo run -q --release -p sybil-bench --bin thread_identity
 
 echo "== bench-regression guard: perf_snapshot =="
-# Run in a temp dir so BENCH_parallel.json never dirties the checkout;
-# re-check the acceptance floor from the JSON the bench emits.
+# Run in a temp dir so BENCH_parallel.json never dirties the checkout.
+# The bin asserts bit-identity and its parallel-speedup floor.
 bench_tmp="$(mktemp -d)"
 trap 'rm -rf "$bench_tmp"' EXIT
 (cd "$bench_tmp" && cargo run -q --release -p sybil-bench --bin perf_snapshot \
     --manifest-path "$root/Cargo.toml" >/dev/null)
-python3 - "$bench_tmp/BENCH_parallel.json" <<'PY'
-import json, sys
-report = json.load(open(sys.argv[1]))
-cc = report["clustering_sweep"]["speedup_vs_serial"]
-feat = report["feature_extraction"]["speedup_vs_serial"]
-ok = report["bit_identical"] and cc >= 2.0 and feat >= 2.0
-print(f"bench guard: clustering {cc:.2f}x, features {feat:.2f}x, "
-      f"bit_identical={report['bit_identical']}")
-sys.exit(0 if ok else 1)
-PY
 
 echo "== serving engine: serve-vs-replay equivalence at 1 and 8 shards =="
 # The sharded engine must reproduce the sequential replay byte-for-byte
@@ -157,20 +150,11 @@ sys.exit(0 if ok else 1)
 PY
 
 echo "== scale: scale_sweep smoke (20k + 200k accounts) =="
-# The CI-sized slice of the million-account sweep: serve must stay
-# byte-identical to replay and inside the RSS budget at both smoke
-# sizes. The full sweep's output is the committed BENCH_scale.json.
+# The CI-sized slice of the million-account sweep: the bin asserts that
+# serve stays byte-identical to replay and inside the RSS budget at both
+# smoke sizes. The full sweep's output is the committed BENCH_scale.json.
 (cd "$bench_tmp" && cargo run -q --release -p sybil-bench --bin scale_sweep \
     --manifest-path "$root/Cargo.toml" -- --smoke >/dev/null)
-python3 - "$bench_tmp/BENCH_scale.json" <<'PY'
-import json, sys
-r = json.load(open(sys.argv[1]))
-rows = r["rows"]
-ok = r["bit_identical"] and all(row["under_budget"] for row in rows)
-print(f"scale smoke: {len(rows)} rows, bit_identical={r['bit_identical']}, "
-      f"under_budget={all(row['under_budget'] for row in rows)}")
-sys.exit(0 if ok else 1)
-PY
 
 echo "== scale: committed BENCH_scale.json 5M-account floor =="
 # Regression guard on the committed full-sweep record: the 5M row must
@@ -191,43 +175,27 @@ sys.exit(0 if ok else 1)
 PY
 
 echo "== observability: instrumentation overhead gate =="
+# Metrics on vs off: identical reports, and the overhead bound the bin
+# asserts on the serving critical path.
 (cd "$bench_tmp" && cargo run -q --release -p sybil-bench --bin obs_overhead \
     --manifest-path "$root/Cargo.toml" >/dev/null)
-python3 - "$bench_tmp/BENCH_obs.json" <<'PY'
-import json, sys
-r = json.load(open(sys.argv[1]))
-ok = r["report_identical"] and r["overhead_pct"] < 5.0
-print(f"obs guard: overhead {r['overhead_pct']:.2f}% (<5% required), "
-      f"report_identical={r['report_identical']}")
-sys.exit(0 if ok else 1)
-PY
 
-echo "== persistence + chaos: sybil-store and sybil-chaos tests (release) =="
+echo "== release tests: store, chaos, serve, lint, bench harness =="
 # The headline chaos invariant — any fault schedule yields output
 # byte-identical to the fault-free run OR a typed ChaosError, never
 # silent divergence — plus the journal round-trip at 1/2/8 shards, the
-# SYBS golden-bytes test, the kill/restart proptest, and the typed
-# corrupt-count tests for both on-disk formats.
-cargo test -q --release -p sybil-store -p sybil-chaos
+# SYBS golden-bytes test, the kill/restart proptest, the typed
+# corrupt-count tests for both on-disk formats, the store's
+# single-writer lock, the serve determinism proptests, the sybil-lint
+# fixture tests, and the shared bench-harness tests.
+cargo test -q --release -p sybil-store -p sybil-chaos -p sybil-serve -p sybil-lint -p sybil-bench
 
 echo "== chaos: crash-recovery smoke + journal overhead gate =="
 # Seeded mid-stream shard crash must recover from the write-ahead
 # journal byte-identical to the fault-free replay, and journaling every
-# epoch must cost <5% of the fault-free critical path.
+# epoch must stay inside the overhead bound the bin asserts.
 (cd "$bench_tmp" && cargo run -q --release -p sybil-bench --bin chaos_bench \
     --manifest-path "$root/Cargo.toml" >/dev/null)
-python3 - "$bench_tmp/BENCH_chaos.json" <<'PY'
-import json, sys
-r = json.load(open(sys.argv[1]))
-ok = (r["report_identical"] and r["crash_recovered_identical"]
-      and r["journal_overhead_pct"] < 5.0)
-print(f"chaos guard: journal overhead {r['journal_overhead_pct']:.2f}% "
-      f"(<5% required), journaled≡plain={r['report_identical']}, "
-      f"crash@epoch{r['crash_epoch']}/shard{r['crash_shard']} replayed "
-      f"{r['crash_epochs_replayed']} epochs, "
-      f"recovered_identical={r['crash_recovered_identical']}")
-sys.exit(0 if ok else 1)
-PY
 
 echo "== persistence: kill + warm-restart drill (repro restart) =="
 # A seed-derived mid-stream kill must warm-restart from the snapshot
@@ -248,24 +216,10 @@ PY
 
 echo "== persistence: checkpoint overhead + restart-latency gates =="
 # Checkpoint writes (paired against a journal-only plane, so the delta
-# is the snapshot cost alone) must stay under 5% of the fault-free
-# critical path, persisted runs must report byte-identically to plain,
+# is the snapshot cost alone) must stay inside the overhead bound the
+# bin asserts, persisted runs must report byte-identically to plain,
 # and a near-end warm restart must beat the cold replay it replaces.
 (cd "$bench_tmp" && cargo run -q --release -p sybil-bench --bin restart_bench \
     --manifest-path "$root/Cargo.toml" >/dev/null)
-python3 - "$bench_tmp/BENCH_restart.json" <<'PY'
-import json, sys
-r = json.load(open(sys.argv[1]))
-ok = (r["report_identical"] and r["restart_identical"]
-      and r["checkpoint_overhead_pct"] < 5.0
-      and r["restart_to_first_verdict_ms"] < r["cold_replay_ms"])
-print(f"restart guard: ckpt overhead {r['checkpoint_overhead_pct']:.2f}% "
-      f"(<5% required), persisted≡plain={r['report_identical']}, "
-      f"kill@epoch{r['kill_epoch']} resumed from {r['restart_resumed_from']} "
-      f"(+{r['restart_tail_replayed']} epochs), restart "
-      f"{r['restart_to_first_verdict_ms']:.0f}ms vs cold {r['cold_replay_ms']:.0f}ms, "
-      f"restart_identical={r['restart_identical']}")
-sys.exit(0 if ok else 1)
-PY
 
 echo "verify: OK"
